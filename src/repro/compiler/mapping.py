@@ -118,11 +118,10 @@ def _routing_cost(
     """SWAPs the greedy router would insert for this assignment.
 
     Cheap simulation of the router's behaviour: walk the two-qubit gates,
-    move the first operand along shortest paths, count hops.
+    move the first operand along shortest paths, count hops. Paths come
+    from the topology's memo, so the many calls a layout search makes
+    share one graph and one BFS per qubit pair.
     """
-    import networkx as nx
-
-    graph = topology.graph()
     position = list(physical)
     swaps = 0
     for gate in circuit.gates():
@@ -131,7 +130,7 @@ def _routing_cost(
         a, b = gate.qubits
         if topology.has_link(position[a], position[b]):
             continue
-        path = nx.shortest_path(graph, position[a], position[b])
+        path = topology.shortest_path(position[a], position[b])
         for hop in path[1:-1]:
             # Swap logical a one step along the path.
             if hop in position:

@@ -216,6 +216,9 @@ class RigettiAspenDevice:
         self._sample_rng = np.random.default_rng(seed + 1)
         # (epoch, digest) memo for parameter_fingerprint().
         self._param_fingerprint: Optional[Tuple[int, bytes]] = None
+        #: The shared sequential executor, set by
+        #: :func:`repro.exec.get_executor`; never pickled.
+        self.shared_executor = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -404,7 +407,7 @@ class RigettiAspenDevice:
     # Pickling (what crosses the process boundary to pool workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without cache contents.
+        """Pickle without cache contents or the shared executor.
 
         The channel and simulation caches are pure memo tables — every
         entry is reconstructible from the (pickled) noise parameters —
@@ -430,6 +433,7 @@ class RigettiAspenDevice:
             fresh_sim.epoch = self.drift_epoch
             state["sim_cache"] = fresh_sim
         state["_clifford_memo"] = {}
+        state["shared_executor"] = None
         return state
 
     def circuit_duration_us(self, circuit: QuantumCircuit) -> float:

@@ -32,6 +32,36 @@ def make_link(qubit_a: int, qubit_b: int) -> Link:
     return (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
 
 
+class _Derived:
+    """Structure derived from one topology, built once and then shared.
+
+    Holds the networkx graph, the link set, the sorted adjacency, and
+    lazily filled BFS orders and shortest paths. Every entry is a pure
+    function of the topology's qubits and links, computed on a graph
+    that adds the qubits, then the links, in their stored order, so
+    memoized answers (networkx tie-breaks included) equal those of any
+    graph built the same way.
+    Concurrent fills are benign: racing threads store equal values.
+    """
+
+    __slots__ = ("graph", "link_set", "adjacency", "paths", "bfs_orders")
+
+    def __init__(self, qubits: Sequence[int], links: Sequence[Link]) -> None:
+        self.graph = nx.Graph()
+        self.graph.add_nodes_from(qubits)
+        self.graph.add_edges_from(links)
+        self.link_set: FrozenSet[Link] = frozenset(links)
+        found: Dict[int, List[int]] = {}
+        for a, b in links:
+            found.setdefault(a, []).append(b)
+            found.setdefault(b, []).append(a)
+        self.adjacency: Dict[int, Tuple[int, ...]] = {
+            qubit: tuple(sorted(nbs)) for qubit, nbs in found.items()
+        }
+        self.paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self.bfs_orders: Dict[int, Tuple[int, ...]] = {}
+
+
 @dataclass(frozen=True)
 class Topology:
     """An undirected device connectivity graph.
@@ -40,6 +70,11 @@ class Topology:
         name: Device name for reports (e.g. ``"aspen-11"``).
         qubits: Active physical qubit ids, sorted.
         links: Active links as canonical (sorted) pairs, sorted.
+
+    Graph structure derived from the links (networkx graph, link set,
+    adjacency, BFS orders, shortest paths) is memoized on the instance.
+    The memo is not a dataclass field, so equality and hashing ignore
+    it, and it is dropped from pickled state.
     """
 
     name: str
@@ -54,6 +89,18 @@ class Topology:
             if link[0] not in qubit_set or link[1] not in qubit_set:
                 raise DeviceError(f"link {link} references unknown qubit")
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_derived_memo", None)
+        return state
+
+    def _derived(self) -> _Derived:
+        derived = self.__dict__.get("_derived_memo")
+        if derived is None:
+            derived = _Derived(self.qubits, self.links)
+            object.__setattr__(self, "_derived_memo", derived)
+        return derived
+
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
@@ -63,53 +110,59 @@ class Topology:
         return len(self.links)
 
     def has_link(self, qubit_a: int, qubit_b: int) -> bool:
-        return make_link(qubit_a, qubit_b) in set(self.links)
+        return make_link(qubit_a, qubit_b) in self._derived().link_set
 
     def neighbors(self, qubit: int) -> List[int]:
-        found = []
-        for a, b in self.links:
-            if a == qubit:
-                found.append(b)
-            elif b == qubit:
-                found.append(a)
-        return sorted(found)
+        return list(self._derived().adjacency.get(qubit, ()))
 
     def degree(self, qubit: int) -> int:
-        return len(self.neighbors(qubit))
+        return len(self._derived().adjacency.get(qubit, ()))
 
     def graph(self) -> nx.Graph:
-        """The topology as a networkx graph (nodes=qubits, edges=links)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.qubits)
-        graph.add_edges_from(self.links)
-        return graph
+        """The topology as a networkx graph (nodes=qubits, edges=links).
+
+        A private copy: callers may mutate it freely.
+        """
+        return self._derived().graph.copy()
 
     def shortest_path(self, source: int, target: int) -> List[int]:
-        """Qubit path between two physical qubits (inclusive)."""
-        try:
-            return nx.shortest_path(self.graph(), source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise DeviceError(
-                f"no path between qubits {source} and {target}"
-            ) from exc
+        """Qubit path between two physical qubits (inclusive).
+
+        Exactly ``nx.shortest_path`` on :meth:`graph`, memoized per
+        ordered pair.
+        """
+        derived = self._derived()
+        path = derived.paths.get((source, target))
+        if path is None:
+            try:
+                path = tuple(nx.shortest_path(derived.graph, source, target))
+            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+                raise DeviceError(
+                    f"no path between qubits {source} and {target}"
+                ) from exc
+            derived.paths[(source, target)] = path
+        return list(path)
 
     def distance(self, source: int, target: int) -> int:
         return len(self.shortest_path(source, target)) - 1
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph())
+        return nx.is_connected(self._derived().graph)
 
     def connected_subgraph_qubits(self, seed_qubit: int, size: int) -> List[int]:
         """A BFS-grown connected region of *size* qubits around a seed."""
-        graph = self.graph()
-        if seed_qubit not in graph:
-            raise DeviceError(f"unknown qubit {seed_qubit}")
-        order = list(nx.bfs_tree(graph, seed_qubit))
+        derived = self._derived()
+        order = derived.bfs_orders.get(seed_qubit)
+        if order is None:
+            if seed_qubit not in derived.graph:
+                raise DeviceError(f"unknown qubit {seed_qubit}")
+            order = tuple(nx.bfs_tree(derived.graph, seed_qubit))
+            derived.bfs_orders[seed_qubit] = order
         if len(order) < size:
             raise DeviceError(
                 f"component around {seed_qubit} has only {len(order)} qubits"
             )
-        return order[:size]
+        return list(order[:size])
 
     def without(
         self,

@@ -7,12 +7,22 @@ build a device, calibrate everything, then advance simulated wall-clock
 in steps while the calibration service refreshes only what its cadence
 allows. Every experiment in this package accepts a context so studies
 compose on the same device state.
+
+The protocol is a pure function of its *recipe* (device preset, seeds,
+drift schedule, noise profile, physics and engine flags), so each recipe
+is built once per process and kept as pickled bytes in a small LRU.
+Every ``create`` call, first or not, restores its own private copy from
+those bytes: contexts never share mutable state, and a context is the
+same whether its recipe was built a moment ago or long before.
 """
 
 from __future__ import annotations
 
+import pickle
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +46,114 @@ from ..service import (
 __all__ = ["ExperimentContext"]
 
 _HOUR_US = 3_600e6
+
+#: Recipe snapshots kept per process; the least recently used is evicted.
+_SNAPSHOT_ENTRIES = 16
+
+_PRESETS = {"aspen-11": aspen11, "aspen-m-1": aspen_m1}
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """Every ``create`` argument that shapes device or calibration state.
+
+    The noise profile holds dicts and so is unhashable; the recipe keys
+    on its ``repr`` (exact for the floats and dicts it holds) and keeps
+    the object itself, outside equality and hashing, for the build.
+    """
+
+    device_name: str
+    seed: int
+    calibration_seed: int
+    drift_hours: float
+    drift_step_hours: float
+    profile_key: str
+    idle_noise: bool
+    crosstalk_zz: float
+    sim_cache: bool
+    batched_sim: bool
+    clifford_fast_path: bool
+    profile: NoiseProfile = field(compare=False, repr=False)
+
+
+def _build_recipe(
+    recipe: _Recipe,
+) -> Tuple[RigettiAspenDevice, CalibrationService]:
+    """Build a device and age it under the calibration cadence."""
+    device = _PRESETS[recipe.device_name](
+        seed=recipe.seed,
+        profile=recipe.profile,
+        idle_noise=recipe.idle_noise,
+        crosstalk_zz=recipe.crosstalk_zz,
+        sim_cache=recipe.sim_cache,
+        batched_sim=recipe.batched_sim,
+        clifford_fast_path=recipe.clifford_fast_path,
+    )
+    service = CalibrationService(device, seed=recipe.calibration_seed)
+    service.full_calibration()
+    elapsed = 0.0
+    while elapsed < recipe.drift_hours:
+        step = min(recipe.drift_step_hours, recipe.drift_hours - elapsed)
+        device.advance_time(step * _HOUR_US)
+        service.maybe_recalibrate()
+        elapsed += step
+    return device, service
+
+
+class _SnapshotStore:
+    """Pickled ``(device, service)`` pairs per recipe, LRU-bounded.
+
+    Concurrent callers asking for the same missing recipe wait for one
+    build instead of each running their own.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        self._blobs: "OrderedDict[_Recipe, bytes]" = OrderedDict()
+        self._building: Dict[_Recipe, threading.Lock] = {}
+
+    def _lookup(self, recipe: _Recipe) -> Optional[bytes]:
+        with self._lock:
+            blob = self._blobs.get(recipe)
+            if blob is not None:
+                self._blobs.move_to_end(recipe)
+            return blob
+
+    def get(
+        self,
+        recipe: _Recipe,
+        build: Callable[[_Recipe], Tuple[RigettiAspenDevice, CalibrationService]],
+    ) -> bytes:
+        blob = self._lookup(recipe)
+        if blob is not None:
+            return blob
+        with self._lock:
+            gate = self._building.setdefault(recipe, threading.Lock())
+        with gate:
+            blob = self._lookup(recipe)
+            if blob is not None:
+                return blob
+            try:
+                blob = pickle.dumps(build(recipe), pickle.HIGHEST_PROTOCOL)
+                with self._lock:
+                    self._blobs[recipe] = blob
+                    while len(self._blobs) > self._max_entries:
+                        self._blobs.popitem(last=False)
+            finally:
+                with self._lock:
+                    self._building.pop(recipe, None)
+            return blob
+
+
+_SNAPSHOTS = _SnapshotStore(_SNAPSHOT_ENTRIES)
+
+
+def _restore(
+    recipe: _Recipe,
+) -> Tuple[RigettiAspenDevice, CalibrationService]:
+    """A private copy of the recipe's device and calibration service."""
+    return pickle.loads(_SNAPSHOTS.get(recipe, _build_recipe))
 
 
 @dataclass
@@ -115,7 +233,12 @@ class ExperimentContext:
         trace: Optional[str] = None,
         metrics: bool = False,
     ) -> "ExperimentContext":
-        """Build a device and age it under the calibration cadence.
+        """A private device aged under the calibration cadence.
+
+        The device and calibration are restored from the process-wide
+        snapshot of their recipe, built on first use (see the module
+        docstring); backend, faults, retries, pool, optimization level
+        and observability are applied to the restored copy.
 
         Args:
             device_name: ``"aspen-11"`` or ``"aspen-m-1"``.
@@ -164,27 +287,7 @@ class ExperimentContext:
                 :class:`~repro.obs.MetricsRegistry` absorbing executor,
                 cache, and service counters (implied by ``trace``).
         """
-        if device_name == "aspen-11":
-            device = aspen11(
-                seed=seed,
-                profile=profile,
-                idle_noise=idle_noise,
-                crosstalk_zz=crosstalk_zz,
-                sim_cache=sim_cache,
-                batched_sim=batched_sim,
-                clifford_fast_path=clifford_fast_path,
-            )
-        elif device_name == "aspen-m-1":
-            device = aspen_m1(
-                seed=seed,
-                profile=profile,
-                idle_noise=idle_noise,
-                crosstalk_zz=crosstalk_zz,
-                sim_cache=sim_cache,
-                batched_sim=batched_sim,
-                clifford_fast_path=clifford_fast_path,
-            )
-        else:
+        if device_name not in _PRESETS:
             raise ReproError(f"unknown device preset {device_name!r}")
         if backend not in ("local", "remote"):
             raise ReproError(
@@ -195,14 +298,21 @@ class ExperimentContext:
             if isinstance(fault_profile, FaultProfile)
             else resolve_fault_profile(str(fault_profile))
         )
-        service = CalibrationService(device, seed=calibration_seed)
-        service.full_calibration()
-        elapsed = 0.0
-        while elapsed < drift_hours:
-            step = min(drift_step_hours, drift_hours - elapsed)
-            device.advance_time(step * _HOUR_US)
-            service.maybe_recalibrate()
-            elapsed += step
+        recipe = _Recipe(
+            device_name=device_name,
+            seed=seed,
+            calibration_seed=calibration_seed,
+            drift_hours=drift_hours,
+            drift_step_hours=drift_step_hours,
+            profile_key=repr(profile),
+            idle_noise=idle_noise,
+            crosstalk_zz=crosstalk_zz,
+            sim_cache=sim_cache,
+            batched_sim=batched_sim,
+            clifford_fast_path=clifford_fast_path,
+            profile=profile,
+        )
+        device, service = _restore(recipe)
         tracer = None
         registry = None
         previous = None

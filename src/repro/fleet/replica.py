@@ -23,12 +23,13 @@ Two layers live here:
   :class:`~repro.service.dedup.ProbeDistributionStore` partition.
 
 Requests stay **isolated**: binding to a replica never shares mutable
-physics — each request still builds its own device from the adjusted
-spec. The replica is the *routing identity* (which chip-day recipe,
-which dedup partition, which operational queue), so two requests bound
-to the same replica see the same ``parameter_fingerprint`` trajectory
-and can share probe distributions, while requests on different
-replicas cannot (different seeds ⇒ different fingerprints).
+physics — each request still gets its own device, restored from the
+adjusted spec's recipe snapshot. The replica is the *routing identity*
+(which chip-day recipe, which dedup partition, which operational
+queue), so two requests bound to the same replica see the same
+``parameter_fingerprint`` trajectory and can share probe distributions,
+while requests on different replicas cannot (different seeds ⇒
+different fingerprints).
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ and a backend — and runs them through the existing ``Backend`` seam
 with fair scheduling, probe-batch coalescing, and cross-tenant probe
 deduplication:
 
-* **Isolation** — every request builds its *own* device, calibration,
+* **Isolation** — every request gets its *own* device, calibration,
   and executor stack (exactly :meth:`~repro.experiments.context.
-  ExperimentContext.create`), so requests never share mutable physics.
+  ExperimentContext.create`): the device and calibration are restored
+  from the process-wide snapshot of the spec's recipe, built once, so
+  requests never share mutable physics.
   The non-negotiable invariant, pinned by ``tests/test_angel_service.
   py``: a request compiled through the service is **bit-identical** to
   the same spec run through :func:`run_standalone`, for any tenant mix,
@@ -698,6 +700,9 @@ class AngelService:
                 request.close()
             except BaseException as exc:  # pragma: no cover - best effort
                 entry.error = entry.error or exc
+            # Free the compile stack (device included) now: the
+            # scheduler's last round may keep the entry itself alive.
+            entry.request = None
         if failed:
             handle._resolve(exception=entry.error)
             return
