@@ -428,7 +428,6 @@ class RigettiAspenDevice:
                 prefix_bytes=sim.prefix.max_bytes,
                 max_distributions=sim.max_distributions,
                 max_lowered=sim.max_lowered,
-                fuse=sim.fuse,
             )
             fresh_sim.epoch = self.drift_epoch
             state["sim_cache"] = fresh_sim
@@ -492,7 +491,9 @@ class RigettiAspenDevice:
         used = self._used_qubits(circuit)
         compact, local_of = self._compact_circuit(circuit, used)
         if self.idle_noise:
-            compact = self._with_idle_markers(compact)
+            compact, circuit_us = self._with_idle_markers(circuit, compact)
+        else:
+            circuit_us = self.circuit_duration_us(circuit)
 
         rng = (
             np.random.default_rng(seed)
@@ -519,9 +520,7 @@ class RigettiAspenDevice:
             counts = simulator.sample(
                 compact, shots, rng, readout_errors=readout
             )
-        self.log_execution(
-            circuit, shots, seed=seed, job_id=job_id, tag=tag, qubits=used
-        )
+        self._account(circuit, shots, circuit_us, seed, job_id, tag, used)
         return counts
 
     def log_execution(
@@ -540,16 +539,23 @@ class RigettiAspenDevice:
         parameter snapshot — the accounting (record order, durations,
         drift advance sequence) stays identical to sequential execution.
         """
-        duration = (
-            _JOB_OVERHEAD_US
-            + shots * (self.circuit_duration_us(circuit) + _SHOT_OVERHEAD_US)
+        return self._account(
+            circuit, shots, self.circuit_duration_us(circuit), seed, job_id,
+            tag, self._used_qubits(circuit) if qubits is None else qubits,
         )
+
+    def _account(
+        self, circuit: QuantumCircuit, shots: int, circuit_us: float,
+        seed: Optional[int], job_id: str, tag: str, qubits: Sequence[int],
+    ) -> ExecutionRecord:
+        """Log one job whose per-shot duration *circuit_us* is known."""
+        duration = _JOB_OVERHEAD_US + shots * (circuit_us + _SHOT_OVERHEAD_US)
         record = ExecutionRecord(
             circuit_name=circuit.name,
             shots=shots,
             started_at_us=self.clock_us,
             duration_us=duration,
-            qubits=tuple(qubits if qubits is not None else self._used_qubits(circuit)),
+            qubits=tuple(qubits),
             seed=seed,
             job_id=job_id,
             tag=tag,
@@ -616,28 +622,37 @@ class RigettiAspenDevice:
                 )
         return compact, local_of
 
-    def _with_idle_markers(self, compact: QuantumCircuit) -> QuantumCircuit:
+    def _with_idle_markers(
+        self, circuit: QuantumCircuit, compact: QuantumCircuit
+    ) -> Tuple[QuantumCircuit, float]:
         """Insert explicit ``idle`` gates per moment on untouched wires.
 
         Each moment lasts as long as its slowest instruction; every
         compact-register qubit not acted on in that moment receives an
         ``idle(duration)`` marker whose noise hook applies T1/T2 decay.
+        *compact* is *circuit* relabeled instruction for instruction, so
+        one walk times the physical moments and marks the compact ones.
+        Also returns :meth:`circuit_duration_us` of *circuit*.
         """
         marked = QuantumCircuit(compact.num_qubits, name=compact.name)
-        for moment in circuit_moments(compact):
+        total_ns = 0.0
+        for moment in circuit_moments(circuit):
             duration = max(
                 (self._gate_duration_ns(g) for g in moment.gates),
                 default=0.0,
             )
-            busy = set(moment.qubits())
-            for _, gate in moment.items:
+            total_ns += duration
+            busy = set()
+            for index, _ in moment.items:
+                gate = compact[index]
+                busy.update(gate.qubits)
                 marked.append(gate)
             if duration <= 0:
                 continue
             for qubit in range(compact.num_qubits):
                 if qubit not in busy:
                     marked.append(Gate("idle", (qubit,), (duration,)))
-        return marked
+        return marked, total_ns / _NS_PER_US
 
     def _cached(self, key, factory):
         """Memoize a channel construction if the cache is enabled.
@@ -946,7 +961,7 @@ class RigettiAspenDevice:
         used = self._used_qubits(circuit)
         compact, _ = self._compact_circuit(circuit, used)
         if self.idle_noise:
-            compact = self._with_idle_markers(compact)
+            compact, _ = self._with_idle_markers(circuit, compact)
         return self._exact_distribution(compact, used)
 
     def noisy_distribution_batch(
@@ -976,7 +991,7 @@ class RigettiAspenDevice:
             used = self._used_qubits(circuit)
             compact, _ = self._compact_circuit(circuit, used)
             if self.idle_noise:
-                compact = self._with_idle_markers(compact)
+                compact, _ = self._with_idle_markers(circuit, compact)
             fast = self._clifford_distribution(compact, used)
             if fast is not None:
                 results[index] = fast

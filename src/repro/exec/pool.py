@@ -40,6 +40,7 @@ paying.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import pickle
@@ -308,27 +309,6 @@ class WorkerPool:
             raise error
         return list(distributions), info  # type: ignore[arg-type]
 
-    def run_groups(
-        self, groups: Sequence[Sequence["QuantumCircuit"]]
-    ) -> Tuple[List[List[Dict[str, float]]], PoolRunInfo]:
-        """Dispatch the union of several circuit groups in one pool round.
-
-        The merged batch is assigned to workers as a whole — so the
-        prefix-affinity scheduler can co-locate prefix-sharing circuits
-        *across* groups, which separate :meth:`run` calls cannot — and
-        the distributions are demuxed back to the source groups in
-        submission order.
-        """
-        groups = [list(group) for group in groups]
-        flat = [circuit for group in groups for circuit in group]
-        distributions, info = self.run(flat)
-        demuxed: List[List[Dict[str, float]]] = []
-        offset = 0
-        for group in groups:
-            demuxed.append(distributions[offset : offset + len(group)])
-            offset += len(group)
-        return demuxed, info
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -398,6 +378,41 @@ def _worker_counters(device: "RigettiAspenDevice") -> Dict[str, int]:
     }
 
 
+#: Thread-count setters of the OpenBLAS builds numpy ships or links.
+_BLAS_THREAD_SETTERS = tuple(
+    f"{prefix}openblas_set_num_threads{suffix}"
+    for prefix in ("", "scipy_") for suffix in ("", "64_")
+)
+
+
+def _single_thread_blas() -> None:  # pragma: no cover
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    The workers already share the host's cores; each OpenBLAS copy
+    (numpy and scipy may bring one each) would otherwise keep a thread
+    per core that spin-waits between a contraction's small GEMMs.
+    Threaded GEMM splits the output, never a sum, so results do not
+    change. Best effort: a no-op without ``/proc`` or OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split()[-1] for line in maps if "openblas" in line}
+            )
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 def _pool_worker_main(connection, payload: bytes) -> None:  # pragma: no cover
     """Worker loop: sync the epoch delta, compute distributions, reply.
 
@@ -406,6 +421,7 @@ def _pool_worker_main(connection, payload: bytes) -> None:  # pragma: no cover
     corrupt pipe or unpicklable reply tears the worker down, which the
     parent observes as EOF and degrades gracefully.
     """
+    _single_thread_blas()
     device: "RigettiAspenDevice" = pickle.loads(payload)
     while True:
         try:

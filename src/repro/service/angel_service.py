@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..compiler.passes import transpile
@@ -879,13 +879,3 @@ def replay_workload(
     finally:
         if owned:
             service.close()
-
-
-def _spec_variants(
-    base: RequestSpec, count: int, programs: Sequence[str]
-) -> List[RequestSpec]:
-    """``count`` specs cycling through ``programs`` (workload helper)."""
-    return [
-        replace(base, program=programs[index % len(programs)])
-        for index in range(count)
-    ]

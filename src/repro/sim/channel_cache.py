@@ -92,7 +92,3 @@ class ChannelCache:
             "invalidations": self.invalidations,
             "epoch": self.epoch,
         }
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

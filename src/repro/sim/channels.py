@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,14 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# The 15 non-identity two-qubit Paulis, in IX, IY, ..., ZZ order.
+_TWO_QUBIT_PAULIS = tuple(
+    kron_n(_PAULIS[name_a], _PAULIS[name_b])
+    for name_a in "IXYZ"
+    for name_b in "IXYZ"
+    if not name_a == name_b == "I"
+)
 
 
 @dataclass(frozen=True)
@@ -120,17 +129,16 @@ class Superoperator:
 
     @classmethod
     def from_kraus(cls, channel: KrausChannel) -> "Superoperator":
-        matrix = sum(
-            np.kron(op, op.conj()) for op in channel.operators
-        )
-        return cls(np.asarray(matrix, dtype=complex), channel.label)
+        # The axis-0 sum adds the terms in order, like a sum of krons.
+        ops = np.asarray(channel.operators, dtype=complex)
+        return cls(_kron_conj(ops).sum(axis=0), channel.label)
 
     @classmethod
     def from_unitary(
         cls, unitary: np.ndarray, label: str = "unitary"
     ) -> "Superoperator":
         unitary = np.asarray(unitary, dtype=complex)
-        return cls(np.kron(unitary, unitary.conj()), label)
+        return cls(_kron_conj(unitary[None])[0], label)
 
     def then(self, later: "Superoperator") -> "Superoperator":
         """The map applying this superoperator first, then *later*."""
@@ -147,31 +155,57 @@ class Superoperator:
 
         The register superoperator indexes rows by ``(ket_out, bra_out)``
         and columns by ``(ket_in, bra_in)``, each half big-endian over
-        the qubits. Tensor the per-qubit maps (identity elsewhere) and
-        reorder the axes into that convention.
+        the qubits. Each entry is an entry of the 1-qubit map or zero:
+        one gather through :func:`_embed_table`.
         """
         if self.num_qubits != 1:
             raise SimulationError("embed expects a single-qubit map")
-        eye = np.eye(2, dtype=complex)
-        # Per-qubit map with axes (ket_out, bra_out, ket_in, bra_in).
-        identity_map = np.einsum("ac,bd->abcd", eye, eye)
-        small = self.matrix.reshape(2, 2, 2, 2)
-        total = None
-        for index in range(num_qubits):
-            block = small if index == position else identity_map
-            total = block if total is None else np.tensordot(
-                total, block, axes=0
+        if not 0 <= position < num_qubits:
+            raise SimulationError(
+                f"position {position} outside a {num_qubits}-qubit register"
             )
-        # Axes are grouped per qubit (ko_q, bo_q, ki_q, bi_q); reorder to
-        # (ko_0..ko_n, bo_0..bo_n, ki_0..ki_n, bi_0..bi_n).
-        perm = [
-            4 * q + part
-            for part in range(4)
-            for q in range(num_qubits)
-        ]
-        dim = 2**num_qubits
-        matrix = np.transpose(total, perm).reshape(dim * dim, dim * dim)
+        source = np.zeros(17, dtype=complex)
+        source[:16] = self.matrix.ravel()
+        matrix = source[_embed_table(position, num_qubits)]
         return Superoperator(matrix, f"{self.label}@q{position}")
+
+
+def _kron_conj(ops: np.ndarray) -> np.ndarray:
+    """``kron(K, conj(K))`` for each ``K`` of a ``(k, d, d)`` stack.
+
+    Entry ``[k, i, m, j, n]`` is ``K_k[i, j] * conj(K_k[m, n])``, the
+    multiplication ``np.kron`` does for ``[(i, m), (j, n)]``, so every
+    term is bit-identical to its kron.
+    """
+    count, dim = ops.shape[0], ops.shape[1]
+    terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    return terms.reshape(count, dim * dim, dim * dim)
+
+
+@lru_cache(maxsize=None)
+def _embed_table(position: int, num_qubits: int) -> np.ndarray:
+    """Gather indices placing a 1-qubit superoperator at *position*.
+
+    Entry ``[r, c]`` is the flat index of the 1-qubit entry landing at
+    ``[r, c]``, or 16 (one past the end) where the register map is zero:
+    the per-qubit maps (identity elsewhere) tensored over markers that
+    hold their own flat index plus one, axes reordered to the register.
+    """
+    eye = np.eye(2)
+    # Per-qubit map with axes (ket_out, bra_out, ket_in, bra_in).
+    identity_map = np.einsum("ac,bd->abcd", eye, eye)
+    markers = np.arange(1.0, 17.0).reshape(2, 2, 2, 2)
+    total = np.ones(())
+    for index in range(num_qubits):
+        block = markers if index == position else identity_map
+        total = np.tensordot(total, block, axes=0)
+    # (ko_q, bo_q, ki_q, bi_q) per qubit -> (ko_*, bo_*, ki_*, bi_*).
+    perm = [4 * q + part for part in range(4) for q in range(num_qubits)]
+    dim = 2**num_qubits
+    table = np.transpose(total, perm).reshape(dim * dim, dim * dim)
+    table = np.where(table == 0, 17, table).astype(np.intp) - 1
+    table.setflags(write=False)
+    return table
 
 
 def identity_channel(num_qubits: int = 1) -> KrausChannel:
@@ -206,11 +240,7 @@ def two_qubit_depolarizing_channel(probability: float) -> KrausChannel:
         math.sqrt(1.0 - probability) * np.eye(4, dtype=complex)
     ]
     weight = math.sqrt(probability / 15.0)
-    for name_a in "IXYZ":
-        for name_b in "IXYZ":
-            if name_a == name_b == "I":
-                continue
-            ops.append(weight * kron_n(_PAULIS[name_a], _PAULIS[name_b]))
+    ops.extend(weight * pauli for pauli in _TWO_QUBIT_PAULIS)
     return KrausChannel(tuple(ops), f"depolarizing2(p={probability:.4g})")
 
 

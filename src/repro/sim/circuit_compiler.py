@@ -150,13 +150,6 @@ class CircuitCompiler:
             the device passes the physical qubit placement here so
             identical compact circuits on different physical qubits
             never share prefix keys.
-        product_cache: Optional mutable mapping memoizing fused
-            superoperator products across lowerings. Probe variants
-            share most of their instruction stream, so the same
-            ``embed``/``then`` matrix products recur in every lowering;
-            keys embed ``hash_seed`` (the placement) because equal
-            compact atoms under different physical qubits carry
-            different noise. The owner must flush it on drift.
     """
 
     def __init__(
@@ -165,13 +158,11 @@ class CircuitCompiler:
         noise_callback: Optional[Callable] = None,
         fuse: bool = True,
         hash_seed: Tuple = (),
-        product_cache: Optional[dict] = None,
     ) -> None:
         self.operation_compiler = operation_compiler
         self.noise_callback = noise_callback
         self.fuse = fuse
         self.hash_seed = tuple(hash_seed)
-        self.product_cache = product_cache
 
     # ------------------------------------------------------------------
     def lower(self, circuit: QuantumCircuit) -> LoweredCircuit:
@@ -229,43 +220,18 @@ class CircuitCompiler:
                     )
         return stream
 
-    def _fused(self, stream: List[LoweredOp]) -> List[LoweredOp]:
+    @staticmethod
+    def _fused(stream: List[LoweredOp]) -> List[LoweredOp]:
         """Greedy left-to-right layer fusion over the raw stream."""
         fused: List[LoweredOp] = []
         for op in stream:
             if fused:
-                merged = self._try_fuse(fused[-1], op)
+                merged = _try_fuse(fused[-1], op)
                 if merged is not None:
                     fused[-1] = merged
                     continue
             fused.append(op)
         return fused
-
-    def _try_fuse(
-        self, pending: LoweredOp, nxt: LoweredOp
-    ) -> Optional[LoweredOp]:
-        """Memoizing wrapper around :func:`_try_fuse`.
-
-        The fused product is a pure function of the two operands'
-        fingerprints (plus placement, carried in ``hash_seed``), so when
-        a product cache is attached the matrix work happens once per
-        distinct fusion within an epoch.
-        """
-        if self.product_cache is None:
-            return _try_fuse(pending, nxt)
-        key = (
-            self.hash_seed,
-            pending.qubits,
-            pending.fingerprint,
-            nxt.qubits,
-            nxt.fingerprint,
-        )
-        try:
-            merged = self.product_cache[key]
-        except KeyError:
-            merged = _try_fuse(pending, nxt)
-            self.product_cache[key] = merged
-        return merged
 
     def _hash_chain(
         self, num_qubits: int, operations: List[LoweredOp]

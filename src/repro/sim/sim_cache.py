@@ -149,7 +149,6 @@ class SimulationCache:
         prefix_bytes: Byte budget for prefix snapshots.
         max_distributions: Entry cap for memoized distributions (LRU).
         max_lowered: Entry cap for lowered circuits (LRU).
-        fuse: Enable layer fusion during lowering.
     """
 
     def __init__(
@@ -157,19 +156,14 @@ class SimulationCache:
         prefix_bytes: int = _DEFAULT_PREFIX_BYTES,
         max_distributions: int = _DEFAULT_MAX_DISTRIBUTIONS,
         max_lowered: int = _DEFAULT_MAX_LOWERED,
-        fuse: bool = True,
     ) -> None:
         self.prefix = PrefixStateCache(prefix_bytes)
-        self.fuse = fuse
         self.max_distributions = int(max_distributions)
         self.max_lowered = int(max_lowered)
         self._distributions: "OrderedDict[Tuple, Dict[str, float]]" = (
             OrderedDict()
         )
         self._lowered: "OrderedDict[Tuple, LoweredCircuit]" = OrderedDict()
-        # Fused superoperator products, shared across lowerings within
-        # an epoch (probe variants re-fuse mostly identical streams).
-        self._products: Dict[Tuple, object] = {}
         self.epoch = 0
         self.dist_hits = 0
         self.dist_misses = 0
@@ -196,7 +190,6 @@ class SimulationCache:
         """Flush every level; entries never outlive their noise epoch."""
         self._distributions.clear()
         self._lowered.clear()
-        self._products.clear()
         self.prefix.invalidate()
         self.epoch = epoch
         self.invalidations += 1
@@ -222,10 +215,6 @@ class SimulationCache:
         """
         self._shared_store = store
         self._shared_key = state_key
-
-    def detach_shared_store(self) -> None:
-        self._shared_store = None
-        self._shared_key = None
 
     # ------------------------------------------------------------------
     # The cached distribution pipeline
@@ -409,14 +398,8 @@ class SimulationCache:
             self.lower_hits += 1
             return cached
         self.lower_misses += 1
-        if len(self._products) > 4 * self.max_lowered:
-            self._products.clear()  # epoch outlived its working set
         compiler = CircuitCompiler(
-            operation_compiler,
-            noise_callback,
-            fuse=self.fuse,
-            hash_seed=placement,
-            product_cache=self._products,
+            operation_compiler, noise_callback, hash_seed=placement
         )
         lowered = compiler.lower(circuit)
         while len(self._lowered) >= self.max_lowered:

@@ -5,12 +5,17 @@ import math
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.dag import circuit_moments
+from repro.compiler import transpile
+from repro.core import NativeGateSequence
 from repro.device import small_test_device
+from repro.device.device import _JOB_OVERHEAD_US, _SHOT_OVERHEAD_US
 from repro.device.native_gates import (
     DEFAULT_PULSE_DURATIONS_NS,
     cnot_decomposition,
     hadamard_native,
 )
+from repro.programs.suite import benchmark_suite
 
 
 def _native_bell(a, b):
@@ -92,3 +97,78 @@ class TestDurations:
             device_b.execution_log[-1].duration_us
             > device_a.execution_log[-1].duration_us
         )
+
+
+@pytest.fixture(scope="module")
+def native_suite():
+    """Table I plus the extra/named programs, nativized onto a line."""
+    device = small_test_device(7, seed=74)
+    circuits = []
+    for spec in benchmark_suite(include_extras=True):
+        compiled = transpile(spec.build(), device)
+        sequence = NativeGateSequence.uniform(compiled.sites, "cz")
+        circuits.append(compiled.nativized(sequence))
+    barriered = QuantumCircuit(7, name="barriered")
+    for g in hadamard_native(3):
+        barriered.append(g)
+    barriered.barrier()
+    barriered.rx(math.pi / 2, 5)
+    for g in cnot_decomposition("cz", 5, 6):
+        barriered.append(g)
+    barriered.measure(3)
+    barriered.measure(6)
+    circuits.append(barriered)
+    return circuits
+
+
+def _uneven_device():
+    """A line whose pulse durations differ per qubit and per link, so a
+    duration looked up on the wrong (compact vs physical) qubit shows."""
+    device = small_test_device(7, seed=74)
+    for qubit, params in device.qubit_params.items():
+        params.rx_duration_ns = 40.0 + 7.0 * qubit
+    for (link, _), params in device.gate_params.items():
+        params.duration_ns += 11.0 * link[0]
+    return device
+
+
+class TestJobDuration:
+    """``run`` times each job from one walk over the job's moments."""
+
+    @pytest.mark.parametrize("idle_noise", [False, True])
+    def test_logged_duration_is_circuit_duration(
+        self, native_suite, idle_noise
+    ):
+        device = _uneven_device()
+        device.idle_noise = idle_noise
+        shots = 37
+        for circuit in native_suite:
+            expected = _JOB_OVERHEAD_US + shots * (
+                device.circuit_duration_us(circuit) + _SHOT_OVERHEAD_US
+            )
+            device.run(circuit, shots, seed=0)
+            assert device.execution_log[-1].duration_us == expected
+
+    def test_idle_walk_returns_circuit_duration(self, native_suite):
+        device = _uneven_device()
+        for circuit in native_suite:
+            compact, _ = circuit.compacted()
+            _, circuit_us = device._with_idle_markers(circuit, compact)
+            assert circuit_us == device.circuit_duration_us(circuit)
+
+    def test_idle_markers_last_a_physical_moment(self, native_suite):
+        # Compact indices differ from physical ones here, so the markers
+        # must take their length from the physical gates' durations.
+        device = _uneven_device()
+        relabeled = 0
+        for circuit in native_suite:
+            moment_ns = {
+                max(device._gate_duration_ns(g) for g in moment.gates)
+                for moment in circuit_moments(circuit)
+            }
+            compact, used = circuit.compacted()
+            relabeled += used != tuple(range(len(used)))
+            marked, _ = device._with_idle_markers(circuit, compact)
+            idles = {g.params[0] for g in marked if g.name == "idle"}
+            assert idles <= moment_ns
+        assert relabeled

@@ -43,7 +43,7 @@ class TestIdleMarkers:
         )
         qc = QuantumCircuit(3).rx(math.pi, 0).rx(math.pi, 1).measure_all()
         compact, _ = qc.compacted()
-        marked = device._with_idle_markers(compact)
+        marked, _ = device._with_idle_markers(qc, compact)
         idles = [g for g in marked if g.name == "idle"]
         # Moment 0: qubit 2 idles; measure moment: all busy.
         assert idles

@@ -8,7 +8,11 @@ affinity scheduling on or off, and across drift-epoch boundaries the
 parent crosses between batches.
 """
 
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -307,3 +311,37 @@ class TestSchedulingAndStats:
         assert stats.batch_dedup_hits > 0
         backend.close()
         assert executor.stats.workers == 2  # gauge until the next batch
+
+
+class TestWorkerBlasThreads:
+    def test_worker_blas_runs_single_threaded(self):
+        # In a fresh interpreter (this process's BLAS stays untouched):
+        # after the worker start-up call, every OpenBLAS thread getter
+        # that the loaded library exports reports one thread.
+        script = (
+            "import ctypes, json, numpy\n"
+            "from repro.exec.pool import _single_thread_blas\n"
+            "_single_thread_blas()\n"
+            "paths = sorted({l.split()[-1] for l in open('/proc/self/maps')"
+            " if 'openblas' in l})\n"
+            "getters = [getattr(ctypes.CDLL(p), n, None) for p in paths"
+            " for n in ('openblas_get_num_threads',"
+            " 'openblas_get_num_threads64_',"
+            " 'scipy_openblas_get_num_threads',"
+            " 'scipy_openblas_get_num_threads64_')]\n"
+            "print(json.dumps([g() for g in getters if g is not None]))\n"
+        )
+        try:
+            open("/proc/self/maps").close()
+        except OSError:
+            pytest.skip("no /proc on this platform")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        threads = json.loads(done.stdout)
+        if not threads:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert set(threads) == {1}
