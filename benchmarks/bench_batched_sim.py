@@ -204,9 +204,7 @@ def _run_sweep(program, rounds: int, shots: int, seed: int):
     for mode, engine in (("engine_off", False), ("engine_on", True)):
         device = _make_device(engine=engine, seed=seed)
         compiled = transpile(program, device)
-        executor = BatchExecutor(
-            LocalBackend(device), mode="parallel", max_workers=1
-        )
+        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         rng = np.random.default_rng(5)
         all_counts = []
         jobs_total = 0
@@ -259,9 +257,7 @@ def _run_dense_identity(program, shots: int, seed: int):
             clifford_fast_path=False,
         )
         compiled = transpile(program, device)
-        executor = BatchExecutor(
-            LocalBackend(device), mode="parallel", max_workers=1
-        )
+        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         rng = np.random.default_rng(5)
         jobs = [
             Job(c, shots, seed=int(rng.integers(2**31)), tag="probe")

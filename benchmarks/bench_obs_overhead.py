@@ -85,9 +85,7 @@ def _sweep_time_s(rounds: int, shots: int, tracer=None, registry=None):
     """Wall time of the GHZ-7 probe sweep under one observability mode."""
     device = aspen11(seed=23, sim_cache=True)
     compiled = transpile(ghz(7), device)
-    executor = BatchExecutor(
-        LocalBackend(device), mode="parallel", max_workers=1
-    )
+    executor = BatchExecutor(LocalBackend(device), mode="parallel")
     rng = np.random.default_rng(5)
     jobs_total = 0
     start = time.perf_counter()

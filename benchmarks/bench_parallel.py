@@ -1,43 +1,39 @@
-"""Worker-pool benchmark: sequential vs in-process vs pooled batches.
+"""Snapshot-batch benchmark: sequential vs snapshot (in-process) batches.
 
 Standalone script (no pytest-benchmark dependency) measuring the same
 repeated localized-search probe workload as ``bench_sim_cache.py`` —
 GHZ-7 on an Aspen-11 subgraph, per-link batches of reference +
 mass-replacement candidates, re-probed for confidence, submitted as
-calibration-window snapshot batches — three ways:
+calibration-window snapshot batches — two ways:
 
 * ``sequential`` — the paper's probing loop: one job at a time through
   ``device.run``, the clock (and drift epoch) advancing after every job,
   so each job recomputes its distribution against a fresh snapshot.
-* ``in_process`` — the parallel snapshot discipline with
-  ``max_workers=1``: all of a batch's distributions computed in the
-  parent against one snapshot (the off-pool baseline the pool must
-  match bit-for-bit).
-* ``pooled`` — the same discipline on the persistent
-  :class:`~repro.exec.pool.WorkerPool` with prefix-affinity scheduling.
+* ``snapshot`` — the ``parallel`` executor mode: all of a batch's
+  distributions computed in-process against the batch-start calibration
+  snapshot, then sampled and accounted job by job.
 
-The headline ``speedup`` is pooled over *sequential* (the mode a user
-migrates from); ``counts_identical`` checks the epoch-delta
-synchronization contract (pooled == in_process, seed for seed); and
-``pool_spawns`` pins pool persistence (exactly one spawn per sweep).
-Writes ``BENCH_parallel.json`` next to this file's parent directory.
+The headline ``speedup`` is snapshot over sequential (the mode a user
+migrates from). ``counts_identical`` checks the snapshot semantics
+against an untimed per-job reference on a twin device: each job's
+``noisy_distribution`` at the batch-start snapshot, sampled with the
+job's own seed. Writes ``BENCH_parallel.json`` next to this file's
+parent directory.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_parallel.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_parallel.py [--smoke] [--check]
 
-``--smoke`` trims the budget and drops to 2 workers for CI runners. The
-acceptance bar (enforced by ``--check``) is a >=2x pooled-over-
-sequential speedup with identical pooled/in-process counts and a single
-pool spawn. On hosts where process pools are unavailable the pooled leg
-degrades in-process; the script reports that and exits cleanly rather
-than failing the check.
+``--smoke`` trims the budget for CI runners. ``--check`` exits nonzero
+unless snapshot batches are >=2x faster than sequential and their counts
+equal the per-job reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,110 +44,93 @@ from repro.compiler import transpile
 from repro.device.presets import aspen11
 from repro.exec import BatchExecutor, LocalBackend
 from repro.programs.ghz import ghz
+from repro.sim.sampler import sample_distribution
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_sim_cache import _probe_round  # noqa: E402
 
-_MODES = (
-    ("sequential", "sequential", None),
-    ("in_process", "parallel", 1),
-    ("pooled", "parallel", None),  # workers filled in at run time
-)
+
+def _rounds_of_jobs(device, rounds: int, shots: int, repeats: int):
+    """Yield each snapshot round's jobs (same seeds for every leg)."""
+    compiled = transpile(ghz(7), device)
+    rng = np.random.default_rng(5)
+    for _ in range(rounds):
+        jobs = []
+        for _ in range(repeats):
+            jobs.extend(_probe_round(device, compiled, shots, rng))
+        yield jobs
 
 
-def run(rounds: int, shots: int, workers: int, repeats: int = 2):
-    results = {}
-    counts_by_mode = {}
-    spawns = fallbacks = 0
-    for name, mode, max_workers in _MODES:
-        if name == "pooled":
-            max_workers = workers
-        device = aspen11(seed=23, sim_cache=True)
-        compiled = transpile(ghz(7), device)
-        backend = LocalBackend(device)
-        executor = BatchExecutor(
-            backend, mode=mode, max_workers=max_workers
-        )
-        rng = np.random.default_rng(5)
-        all_counts = []
-        jobs_total = 0
-        start = time.perf_counter()
-        for _ in range(rounds):
-            jobs = []
-            for _ in range(repeats):
-                jobs.extend(_probe_round(device, compiled, shots, rng))
-            jobs_total += len(jobs)
-            batch = executor.submit_batch(jobs)
-            all_counts.extend(r.counts for r in batch)
-        elapsed = time.perf_counter() - start
-        backend.close()
-        counts_by_mode[name] = all_counts
-        stats = executor.stats.snapshot()
-        results[name] = {
-            "rounds": rounds,
-            "jobs": jobs_total,
-            "shots_per_job": shots,
-            "links": len(compiled.links_used()),
-            "max_workers": max_workers,
-            "wall_time_s": elapsed,
-            "ms_per_job": 1e3 * elapsed / jobs_total,
-            "affinity_hits": stats["affinity_hits"],
-            "ship_kib": stats["ship_bytes"] / 1024.0,
-            "pool_fallbacks": stats["pool_fallbacks"],
-        }
-        if name == "pooled":
-            spawns = backend.pool_spawns
-            fallbacks = backend.pool_fallbacks
-    # The bit-equivalence contract is on- vs off-pool for the *same*
-    # snapshot discipline; sequential sees within-batch drift and is a
-    # different (slower) semantics, not a different implementation.
-    identical = counts_by_mode["pooled"] == counts_by_mode["in_process"]
-    speedup = (
-        results["sequential"]["wall_time_s"]
-        / results["pooled"]["wall_time_s"]
-    )
+def _timed_leg(mode: str, rounds: int, shots: int, repeats: int):
+    device = aspen11(seed=23, sim_cache=True)
+    executor = BatchExecutor(LocalBackend(device), mode=mode)
+    all_counts = []
+    jobs_total = 0
+    start = time.perf_counter()
+    for jobs in _rounds_of_jobs(device, rounds, shots, repeats):
+        jobs_total += len(jobs)
+        all_counts.extend(r.counts for r in executor.submit_batch(jobs))
+    elapsed = time.perf_counter() - start
+    summary = {
+        "rounds": rounds,
+        "jobs": jobs_total,
+        "shots_per_job": shots,
+        "wall_time_s": elapsed,
+        "ms_per_job": 1e3 * elapsed / jobs_total,
+    }
+    return summary, all_counts
+
+
+def _reference_counts(rounds: int, shots: int, repeats: int):
+    """Per-job reference for snapshot batches: every job of a round
+    sees the round-start snapshot, then the clock advances per job."""
+    device = aspen11(seed=23, sim_cache=True)
+    all_counts = []
+    for jobs in _rounds_of_jobs(device, rounds, shots, repeats):
+        distributions = [device.noisy_distribution(j.circuit) for j in jobs]
+        for job, distribution in zip(jobs, distributions):
+            all_counts.append(
+                sample_distribution(
+                    distribution, job.shots, np.random.default_rng(job.seed)
+                )
+            )
+            device.log_execution(job.circuit, job.shots, seed=job.seed)
+    return all_counts
+
+
+def run(rounds: int, shots: int, repeats: int = 2):
+    sequential, _ = _timed_leg("sequential", rounds, shots, repeats)
+    snapshot, snapshot_counts = _timed_leg("parallel", rounds, shots, repeats)
+    identical = snapshot_counts == _reference_counts(rounds, shots, repeats)
     return {
-        "benchmark": "worker_pool_probe_workload",
+        "benchmark": "snapshot_batch_probe_workload",
         "workload": (
             "GHZ-7 localized-search probes on aspen-11 "
-            f"({results['pooled']['links']} links, "
-            f"{results['pooled']['jobs']} jobs over {rounds} "
-            f"snapshot rounds) @ {shots} shots, {workers} workers"
+            f"({snapshot['jobs']} jobs over {rounds} snapshot rounds) "
+            f"@ {shots} shots"
         ),
-        "cpu_count": __import__("os").cpu_count(),
-        "sequential": results["sequential"],
-        "in_process": results["in_process"],
-        "pooled": results["pooled"],
-        "speedup": speedup,
-        "pooled_vs_in_process": (
-            results["in_process"]["wall_time_s"]
-            / results["pooled"]["wall_time_s"]
-        ),
+        "cpu_count": os.cpu_count(),
+        "sequential": sequential,
+        "snapshot": snapshot,
+        "speedup": sequential["wall_time_s"] / snapshot["wall_time_s"],
         "counts_identical": identical,
-        "pool_spawns": spawns,
-        "pool_fallbacks": fallbacks,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced budget + 2 workers for CI smoke runs",
+        "--smoke", action="store_true", help="reduced budget for CI"
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless speedup >= 2x with identical "
-        "pooled/in-process counts and exactly one pool spawn",
+        help="exit nonzero unless snapshot is >= 2x faster than "
+        "sequential with counts equal to the per-job reference",
     )
     args = parser.parse_args(argv)
 
-    rounds = 2 if args.smoke else 3
-    workers = 2 if args.smoke else 4
-    shots = 256
-    report = run(rounds, shots, workers)
+    report = run(rounds=2 if args.smoke else 3, shots=256)
 
     out_path = (
         Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
@@ -159,41 +138,16 @@ def main(argv=None) -> int:
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"workload  : {report['workload']}")
-    print(
-        f"sequential: {report['sequential']['ms_per_job']:.2f} ms/job"
-    )
-    print(
-        f"in-process: {report['in_process']['ms_per_job']:.2f} ms/job"
-    )
-    print(
-        f"pooled    : {report['pooled']['ms_per_job']:.2f} ms/job "
-        f"({report['pooled']['affinity_hits']} affinity hits, "
-        f"{report['pooled']['ship_kib']:.0f} KiB shipped)"
-    )
+    print(f"sequential: {report['sequential']['ms_per_job']:.2f} ms/job")
+    print(f"snapshot  : {report['snapshot']['ms_per_job']:.2f} ms/job")
     print(f"speedup   : {report['speedup']:.2f}x over sequential")
     print(f"identical : {report['counts_identical']}")
-    print(f"spawns    : {report['pool_spawns']}")
     print(f"written   : {out_path}")
 
-    if report["pool_fallbacks"]:
-        # Pools unavailable in this environment: the workload already
-        # ran (in-process fallback), so report and bail without failing.
-        print(
-            "SKIP: worker pool unavailable here "
-            f"({report['pool_fallbacks']} fallbacks); no pool to check"
-        )
-        return 0
     if args.check:
         if not report["counts_identical"]:
             print(
-                "FAIL: pooled counts differ from in-process",
-                file=sys.stderr,
-            )
-            return 1
-        if report["pool_spawns"] != 1:
-            print(
-                f"FAIL: pool spawned {report['pool_spawns']} times "
-                "(expected exactly 1 for the sweep)",
+                "FAIL: snapshot counts differ from the per-job reference",
                 file=sys.stderr,
             )
             return 1

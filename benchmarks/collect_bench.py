@@ -36,8 +36,8 @@ HEADLINES = {
     "sim_cache_probe_workload": (
         "speedup", "higher", "hierarchy speedup (x)"
     ),
-    "worker_pool_probe_workload": (
-        "speedup", "higher", "pool speedup (x)"
+    "snapshot_batch_probe_workload": (
+        "speedup", "higher", "snapshot-batch speedup (x)"
     ),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"

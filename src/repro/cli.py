@@ -68,7 +68,6 @@ def _make_context(args: argparse.Namespace) -> ExperimentContext:
             and not getattr(args, "no_clifford_fast_path", False)
         ),
         parallel=getattr(args, "parallel", False),
-        max_workers=getattr(args, "max_workers", None),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
         optimization_level=(
@@ -155,15 +154,9 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel",
         action="store_true",
-        help="run executor batches on the persistent worker pool "
-        "(snapshot batch discipline) instead of sequentially",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker-pool size for --parallel (default: auto; 1 forces "
-        "the in-process snapshot path)",
+        help="run executor batches as in-process snapshot batches "
+        "(every job against the batch-start calibration) instead of "
+        "sequentially",
     )
     parser.add_argument(
         "--opt-level",
@@ -381,9 +374,9 @@ def _command_compile(args: argparse.Namespace) -> int:
     try:
         return _run_compile(context, args)
     finally:
-        # Error paths (ReproError, interrupts) must still release the
-        # worker pools and restore observability; close is idempotent,
-        # so the happy path's _finish_context close is harmless.
+        # Error paths (ReproError, interrupts) must still restore
+        # observability; close is idempotent, so the happy path's
+        # _finish_context close is harmless.
         context.close()
 
 

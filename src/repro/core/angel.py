@@ -117,8 +117,8 @@ class Angel:
         executor: Execution service to submit probe jobs through.
             Defaults to the device's shared sequential executor, which
             reproduces the paper's one-probe-at-a-time semantics
-            bit-for-bit; a ``mode="parallel"`` executor batches each
-            link's candidates onto a process pool.
+            bit-for-bit; a ``mode="parallel"`` executor runs each
+            link's candidates as one snapshot batch.
     """
 
     def __init__(

@@ -281,18 +281,16 @@ class RigettiAspenDevice:
         self._clifford_memo.clear()
 
     # ------------------------------------------------------------------
-    # Parameter-state export (epoch-delta sync for pool workers)
+    # Parameter-state export (probe-dedup key, fleet transfer study)
     # ------------------------------------------------------------------
     def parameter_state(self) -> Dict[Tuple, float]:
         """Every drifting parameter's raw process value, flat-keyed.
 
         Keys are stable across device replicas built from the same
         construction (``("q", qubit, i)`` for the i-th drifting value of
-        a qubit, ``("g", link, gate, i)`` for a two-qubit gate), so a
-        worker holding a pickled copy of this device can apply a delta
-        of these entries and land on bit-identical physics. Values are
-        the *raw* OU process values (pre-clip): shipping them preserves
-        the exact ``current`` reads on the far side.
+        a qubit, ``("g", link, gate, i)`` for a two-qubit gate), so the
+        states of sibling devices can be compared entry by entry. Values
+        are the *raw* OU process values (pre-clip).
         """
         state: Dict[Tuple, float] = {}
         for qubit in sorted(self.qubit_params):
@@ -319,9 +317,8 @@ class RigettiAspenDevice:
         shared distribution store may only serve one request's cached
         distribution to another when their devices' fingerprints match.
 
-        Memoized per epoch (``advance_time`` and ``apply_parameter_state``
-        drop the memo), so the per-job cost after the first call within
-        an epoch is one tuple compare.
+        Memoized per drift epoch, so the per-job cost after the first
+        call within an epoch is one tuple compare.
         """
         memo = getattr(self, "_param_fingerprint", None)
         if memo is not None and memo[0] == self.drift_epoch:
@@ -353,58 +350,8 @@ class RigettiAspenDevice:
         self._param_fingerprint = (self.drift_epoch, fingerprint)
         return fingerprint
 
-    def parameter_delta(
-        self, since: Dict[Tuple, float]
-    ) -> Dict[Tuple, float]:
-        """Entries of :meth:`parameter_state` that differ from *since*.
-
-        Non-drifting parameters (``DriftingValue.fixed``, zero
-        stationary std) never move, so the delta a drift epoch produces
-        is exactly the set of parameters whose processes stepped —
-        what a pool ships to workers instead of re-pickling the device.
-        """
-        return {
-            key: value
-            for key, value in self.parameter_state().items()
-            if since.get(key) != value
-        }
-
-    def apply_parameter_state(
-        self, epoch: int, values: Dict[Tuple, float]
-    ) -> None:
-        """Install shipped parameter values and adopt a drift epoch.
-
-        The worker-side half of epoch-delta synchronization: writes each
-        raw process value back into its :class:`~repro.device.drift.
-        DriftingValue` and, when the epoch moved, invalidates the channel
-        and simulation caches exactly as :meth:`advance_time` does in the
-        parent — no cache entry ever outlives the parameters it encodes,
-        on either side of the process boundary.
-        """
-        for key, value in values.items():
-            self._drifting_value(key).process.value = float(value)
-        self._param_fingerprint = None
-        if epoch != self.drift_epoch:
-            self.drift_epoch = epoch
-            if self.channel_cache is not None:
-                self.channel_cache.invalidate(epoch)
-            if self.sim_cache is not None:
-                self.sim_cache.invalidate(epoch)
-            self._clifford_memo.clear()
-
-    def _drifting_value(self, key: Tuple):
-        if key[0] == "q":
-            _, qubit, index = key
-            return self.qubit_params[qubit].drifting_values()[index]
-        if key[0] == "g":
-            _, link, gate_name, index = key
-            return self.gate_params[(link, gate_name)].drifting_values()[
-                index
-            ]
-        raise DeviceError(f"unknown parameter key {key!r}")
-
     # ------------------------------------------------------------------
-    # Pickling (what crosses the process boundary to pool workers)
+    # Pickling (recipe snapshots restore devices from pickled bytes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without cache contents or the shared executor.
@@ -413,7 +360,7 @@ class RigettiAspenDevice:
         entry is reconstructible from the (pickled) noise parameters —
         and their payloads dwarf the rest of the device (fused
         superoperators, density-matrix snapshots up to the prefix byte
-        budget). A worker replica starts with fresh, empty caches of the
+        budget). A restored copy starts with fresh, empty caches of the
         same configuration and warms its own.
         """
         state = dict(self.__dict__)

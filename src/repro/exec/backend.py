@@ -20,43 +20,24 @@ several simulated chips without touching the algorithm layer.
   calibration snapshot. The clock/drift accounting sequence is
   identical to sequential execution (same advance calls in the same
   order), so the device *ends* in the same state; only the within-batch
-  drift seen by later jobs differs.
-
-The parallel discipline runs on a **persistent**
-:class:`~repro.exec.pool.WorkerPool` owned by the backend: workers are
-spawned once, hold long-lived device replicas with their own cache
-hierarchies, and are kept coherent through epoch-delta synchronization
-— so pooled counts are bit-identical to computing the same snapshot
-distributions in-process (``max_workers=1``, or any environment where
-process pools are unavailable and the backend degrades in-process).
+  drift seen by later jobs differs. One in-process
+  ``noisy_distribution_batch`` call computes the whole batch.
 """
 
 from __future__ import annotations
 
-import warnings
-from pickle import PicklingError
-from typing import Dict, List, Optional, Protocol, Sequence, TYPE_CHECKING
+from typing import Dict, List, Protocol, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from ..obs import runtime as obs
 from ..sim.sampler import sample_distribution
 from .job import Job, JobResult
-from .pool import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..device.device import RigettiAspenDevice
 
 __all__ = ["Backend", "LocalBackend"]
-
-#: Pool-infrastructure failures that degrade to in-process computation.
-#: Anything else is a real simulation error and propagates.
-_POOL_ENVIRONMENT_ERRORS = (
-    OSError,
-    EOFError,
-    PicklingError,
-    ImportError,
-)
 
 
 class Backend(Protocol):
@@ -70,90 +51,20 @@ class Backend(Protocol):
         ...
 
     def submit_batch(
-        self,
-        jobs: Sequence[Job],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
+        self, jobs: Sequence[Job], parallel: bool = False
     ) -> List[JobResult]:  # pragma: no cover - protocol
         ...
 
 
 class LocalBackend:
-    """A Backend wrapping the in-process simulated Aspen device.
+    """A Backend wrapping the in-process simulated Aspen device."""
 
-    Args:
-        device: The device jobs run on.
-        affinity: Group prefix-sharing parallel jobs onto the same pool
-            worker (see :class:`~repro.exec.pool.WorkerPool`); off falls
-            back to round-robin scheduling.
-    """
-
-    def __init__(
-        self, device: "RigettiAspenDevice", affinity: bool = True
-    ) -> None:
+    def __init__(self, device: "RigettiAspenDevice") -> None:
         self.device = device
-        self.affinity = affinity
-        #: Parallel batches that fell back to in-process computation
-        #: because a worker pool could not be created or fed.
-        self.pool_fallbacks = 0
-        #: Times a worker pool was spawned for this backend (the
-        #: persistence contract: one spawn per backend per sweep unless
-        #: the pool is closed or resized in between).
-        self.pool_spawns = 0
-        self._pool: Optional[WorkerPool] = None
-        # One-shot fallback warning, per backend instance; reset on
-        # pool (re)creation so a rebuilt pool that degrades warns again.
-        self._pool_warned = False
-        # Harvested pool accounting; survives pool close/rebuild so the
-        # executor's before/after diffs never go backwards.
-        self._affinity_hits = 0
-        self._ship_bytes = 0
-        self._worker_cache_totals: Dict[str, int] = {}
 
     @property
     def name(self) -> str:
         return f"local[{self.device.name}]"
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The live worker pool, if one has been spawned."""
-        if self._pool is not None and self._pool.closed:
-            self._pool = None
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a later parallel
-        batch lazily rebuilds it)."""
-        if self._pool is not None:
-            self._ship_bytes += self._pool.ship_bytes
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "LocalBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_pool(self, max_workers: Optional[int]) -> WorkerPool:
-        """The persistent pool, created lazily and reused across
-        batches; rebuilt only when closed or explicitly resized."""
-        pool = self.pool
-        if pool is not None and (
-            max_workers is None or max_workers == pool.num_workers
-        ):
-            return pool
-        self.close()
-        pool = WorkerPool(
-            self.device, num_workers=max_workers, affinity=self.affinity
-        )
-        self._pool = pool
-        self.pool_spawns += 1
-        self._pool_warned = False
-        return pool
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> JobResult:
@@ -215,10 +126,7 @@ class LocalBackend:
         return (hits, misses, dist_hits, prefix_hits)
 
     def submit_batch(
-        self,
-        jobs: Sequence[Job],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
+        self, jobs: Sequence[Job], parallel: bool = False
     ) -> List[JobResult]:
         if not jobs:
             return []
@@ -231,7 +139,10 @@ class LocalBackend:
             else obs.NULL_SPAN
         )
         with span:
-            distributions = self._batch_distributions(jobs, max_workers)
+            # Every distribution against the batch-start snapshot.
+            distributions = self.device.noisy_distribution_batch(
+                [job.circuit for job in jobs]
+            )
         results: List[JobResult] = []
         for job, distribution in zip(jobs, distributions):
             rng = (
@@ -249,7 +160,7 @@ class LocalBackend:
             )
             if tracer:
                 # Snapshot batches compute distributions collectively
-                # (in the pool span above); still emit one span per job
+                # (in the batch span above); still emit one span per job
                 # so a trace covers every probe regardless of mode.
                 with tracer.span(
                     "backend.job",
@@ -280,20 +191,17 @@ class LocalBackend:
         self,
         groups: Sequence[Sequence[Job]],
         parallel: bool = False,
-        max_workers: Optional[int] = None,
     ) -> List[List[JobResult]]:
         """Run several job groups as one merged batch, demuxed per group.
 
         Jobs execute in the flattened submission order, so the device
         clock/drift trajectory matches submitting the groups back to
         back; the merge only changes batching granularity (one snapshot
-        round / one pool dispatch instead of several).
+        round instead of several).
         """
         groups = [list(group) for group in groups]
         flat = [job for group in groups for job in group]
-        results = self.submit_batch(
-            flat, parallel=parallel, max_workers=max_workers
-        )
+        results = self.submit_batch(flat, parallel=parallel)
         demuxed: List[List[JobResult]] = []
         offset = 0
         for group in groups:
@@ -301,62 +209,14 @@ class LocalBackend:
             offset += len(group)
         return demuxed
 
-    def _batch_distributions(
-        self, jobs: Sequence[Job], max_workers: Optional[int]
-    ) -> List[Dict[str, float]]:
-        """Exact distributions for all jobs against the current snapshot.
-
-        Dispatches to the persistent worker pool (density-matrix jobs
-        are CPU-bound and independent); computes in-process when a
-        single worker is requested, or when pools are unavailable
-        (restricted environments) — both paths are bit-identical by the
-        epoch-delta synchronization contract.
-        """
-        if max_workers is not None and max_workers < 2:
-            return self.device.noisy_distribution_batch(
-                [job.circuit for job in jobs]
-            )
-        try:
-            pool = self._ensure_pool(max_workers)
-            distributions, info = pool.run([job.circuit for job in jobs])
-        except _POOL_ENVIRONMENT_ERRORS as exc:
-            # Pool creation/feeding can fail in sandboxed environments;
-            # the snapshot semantics do not depend on parallelism. Any
-            # other exception is a real simulation error and propagates.
-            self.close()
-            self.pool_fallbacks += 1
-            obs.event("pool.fallback", error=type(exc).__name__)
-            if not self._pool_warned:
-                self._pool_warned = True
-                warnings.warn(
-                    "worker pool unavailable "
-                    f"({type(exc).__name__}: {exc}); computing batch "
-                    "distributions in-process (counted in pool_fallbacks)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return self.device.noisy_distribution_batch(
-                [job.circuit for job in jobs]
-            )
-        self._affinity_hits += info.affinity_hits
-        self._ship_bytes += info.ship_bytes
-        for key, value in info.cache_deltas.items():
-            self._worker_cache_totals[key] = (
-                self._worker_cache_totals.get(key, 0) + value
-            )
-        return distributions
-
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, int]:
-        """Channel-cache, simulation-cache, and pool counters, merged.
+        """Channel-cache and simulation-cache counters, merged.
 
         Channel-cache keys are unprefixed (``hits``/``misses``/...);
         simulation-cache keys carry their level's prefix
         (``dist_*``/``prefix_*``/``lower_*``) so the executor can diff
-        each level independently. Worker-side counters harvested from
-        the pool are *added* into the same keys — a prefix hit inside a
-        worker is a prefix hit — and the pool itself contributes
-        ``workers`` (gauge), ``affinity_hits``, and ``ship_bytes``.
+        each level independently.
         """
         cache = self.device.channel_cache
         if cache is None:
@@ -378,13 +238,4 @@ class LocalBackend:
         stats["clifford_fallbacks"] = getattr(
             self.device, "clifford_fallbacks", 0
         )
-        for key, value in self._worker_cache_totals.items():
-            stats[key] = stats.get(key, 0) + value
-        pool = self.pool
-        live_ship = pool.ship_bytes if pool is not None else 0
-        stats["workers"] = pool.num_workers if pool is not None else 0
-        stats["affinity_hits"] = self._affinity_hits
-        stats["ship_bytes"] = self._ship_bytes + live_ship
-        stats["pool_spawns"] = self.pool_spawns
-        stats["pool_fallbacks"] = self.pool_fallbacks
         return stats

@@ -22,7 +22,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -171,11 +171,9 @@ class ExperimentContext:
         fault_seed: Seed for the service's fault stream and the remote
             backend's backoff jitter.
         retry_policy: Remote-client resilience tunables (None = default).
-        parallel: Run executor batches through the snapshot parallel
-            discipline (persistent worker pool) instead of sequentially.
-        max_workers: Worker-pool size for parallel batches (``None`` =
-            the pool's own default; 1 forces the in-process snapshot
-            path).
+        parallel: Run executor batches as snapshot batches (every
+            distribution against the batch-start calibration snapshot,
+            computed in-process) instead of sequentially.
     """
 
     device: RigettiAspenDevice
@@ -186,7 +184,6 @@ class ExperimentContext:
     fault_seed: int = 0
     retry_policy: Optional[RetryPolicy] = None
     parallel: bool = False
-    max_workers: Optional[int] = None
     optimization_level: int = 0
     tracer: Optional[Tracer] = field(
         default=None, repr=False, compare=False
@@ -228,16 +225,15 @@ class ExperimentContext:
         batched_sim: bool = True,
         clifford_fast_path: bool = False,
         parallel: bool = False,
-        max_workers: Optional[int] = None,
         optimization_level: int = 0,
-        trace: Optional[str] = None,
+        trace: Optional[Union[str, TextIO]] = None,
         metrics: bool = False,
     ) -> "ExperimentContext":
         """A private device aged under the calibration cadence.
 
         The device and calibration are restored from the process-wide
         snapshot of their recipe, built on first use (see the module
-        docstring); backend, faults, retries, pool, optimization level
+        docstring); backend, faults, retries, batch mode, optimization level
         and observability are applied to the restored copy.
 
         Args:
@@ -272,17 +268,17 @@ class ExperimentContext:
                 (off by default: its counts are distribution-level
                 approximations, differential-test-bounded rather than
                 bit-identical).
-            parallel: Dispatch executor batches through the persistent
-                worker pool (snapshot discipline) instead of running
-                them sequentially.
-            max_workers: Pool size for parallel batches.
+            parallel: Run executor batches as in-process snapshot
+                batches instead of sequentially.
             optimization_level: Pre-routing circuit optimization level
                 applied by :meth:`transpile` (0 = off, the
                 bit-identical default; see
                 :mod:`repro.compiler.optimize`).
-            trace: Path to stream a JSONL span trace to; installs a
-                :class:`~repro.obs.Tracer` bound to the device clock for
-                the lifetime of the context (until :meth:`close`).
+            trace: Path (truncated on the first span) or open text file
+                (appended to, left open) to stream a JSONL span trace
+                to; installs a :class:`~repro.obs.Tracer` bound to the
+                device clock for the lifetime of the context (until
+                :meth:`close`).
             metrics: Install a process-wide
                 :class:`~repro.obs.MetricsRegistry` absorbing executor,
                 cache, and service counters (implied by ``trace``).
@@ -335,7 +331,6 @@ class ExperimentContext:
             fault_seed=fault_seed,
             retry_policy=retry_policy,
             parallel=parallel,
-            max_workers=max_workers,
             optimization_level=optimization_level,
             tracer=tracer,
             metrics_registry=registry,
@@ -374,19 +369,16 @@ class ExperimentContext:
         a :class:`~repro.service.RemoteBackend` (one cloud service per
         context); otherwise the device's shared local executor. With
         ``parallel`` the executor runs batches in ``"parallel"`` mode —
-        local contexts get a dedicated executor owning its backend (and
-        its persistent worker pool), so the shared sequential ledger is
-        untouched; remote contexts forward the mode through the cloud
-        service to its local fallback.
+        local contexts get a dedicated executor, so the shared
+        sequential ledger is untouched; remote contexts forward the mode
+        through the cloud service to its local fallback.
         """
         if self.backend_name == "local":
             if not self.parallel:
                 return get_executor(self.device)
             if self._parallel_executor is None:
                 self._parallel_executor = BatchExecutor(
-                    LocalBackend(self.device),
-                    mode="parallel",
-                    max_workers=self.max_workers,
+                    LocalBackend(self.device), mode="parallel"
                 )
             return self._parallel_executor
         if self._remote_executor is None:
@@ -401,12 +393,11 @@ class ExperimentContext:
                     qpu_service, self.retry_policy, seed=self.fault_seed
                 ),
                 mode="parallel" if self.parallel else "sequential",
-                max_workers=self.max_workers,
             )
         return self._remote_executor
 
     def close(self) -> None:
-        """Release worker pools and finalize observability.
+        """Finalize observability.
 
         When the context was created with ``trace``/``metrics``, the
         final executor/cache/service ledgers are absorbed into the
@@ -423,16 +414,6 @@ class ExperimentContext:
         self._closed = True
         if self.metrics_registry is not None:
             self._ingest_final_stats()
-        if self._parallel_executor is not None:
-            backend = self._parallel_executor.backend
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
-        if self._remote_executor is not None:
-            backend = self._remote_executor.backend
-            service = getattr(backend, "service", None)
-            if service is not None:
-                service.close()
         if self.tracer is not None:
             self.tracer.close()
         if self._obs_previous is not None:

@@ -192,7 +192,10 @@ def _replay_tenants(
 def main(argv: Optional[list] = None) -> int:
     """CLI: ``python -m repro.experiments.runner [--stats]
     [--backend local|remote] [--fault-profile NAME] [--parallel]
-    [--max-workers N] [--tenants N] <id>...``."""
+    [--trace FILE] [--tenants N] <id>...``.
+
+    With ``--trace`` every experiment's spans go to the one file, in
+    run order."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     show_stats = "--stats" in argv
     argv = [arg for arg in argv if arg != "--stats"]
@@ -214,8 +217,6 @@ def main(argv: Optional[list] = None) -> int:
     backend = _pop_option(argv, "--backend", "local")
     fault_profile = _pop_option(argv, "--fault-profile", "none")
     fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
-    max_workers_raw = _pop_option(argv, "--max-workers", "")
-    max_workers = int(max_workers_raw) if max_workers_raw else None
     opt_level = int(_pop_option(argv, "--opt-level", "0"))
     if "--no-opt-passes" in argv:
         opt_level = 0
@@ -236,59 +237,64 @@ def main(argv: Optional[list] = None) -> int:
             "[--backend local|remote] [--fault-profile NAME] "
             "[--fault-seed N] [--no-sim-cache] [--no-batched-sim] "
             "[--clifford-fast-path] [--no-clifford-fast-path] "
-            "[--parallel] [--max-workers N] [--opt-level {0,1,2}] "
+            "[--parallel] [--opt-level {0,1,2}] "
             "[--no-opt-passes] [--trace FILE] [--metrics] "
             "[--tenants N [--fleet M]] <experiment-id>..."
         )
         print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
         return 0
-    for experiment_id in argv:
-        # Each experiment gets a fresh context (a fresh chip-day) so the
-        # per-experiment executor ledger is attributable to it alone.
-        needs_context = (
-            show_stats
-            or backend != "local"
-            or no_sim_cache
-            or no_batched_sim
-            or clifford_fast_path
-            or parallel
-            or show_metrics
-            or trace is not None
-            or opt_level != 0
-        )
-        context = (
-            ExperimentContext.create(
-                backend=backend,
-                fault_profile=fault_profile,
-                fault_seed=fault_seed,
-                sim_cache=not no_sim_cache,
-                batched_sim=not no_batched_sim,
-                clifford_fast_path=clifford_fast_path,
-                parallel=parallel,
-                max_workers=max_workers,
-                trace=trace,
-                metrics=show_metrics,
-                optimization_level=opt_level,
+    needs_context = (
+        show_stats
+        or backend != "local"
+        or no_sim_cache
+        or no_batched_sim
+        or clifford_fast_path
+        or parallel
+        or show_metrics
+        or trace is not None
+        or opt_level != 0
+    )
+    # One trace file for the whole run: every context appends to it.
+    trace_file = open(trace, "w", encoding="utf-8") if trace else None
+    try:
+        for experiment_id in argv:
+            # Each experiment gets a fresh context (a fresh chip-day) so
+            # the per-experiment executor ledger is attributable to it
+            # alone.
+            context = (
+                ExperimentContext.create(
+                    backend=backend,
+                    fault_profile=fault_profile,
+                    fault_seed=fault_seed,
+                    sim_cache=not no_sim_cache,
+                    batched_sim=not no_batched_sim,
+                    clifford_fast_path=clifford_fast_path,
+                    parallel=parallel,
+                    trace=trace_file,
+                    metrics=show_metrics,
+                    optimization_level=opt_level,
+                )
+                if needs_context
+                else None
             )
-            if needs_context
-            else None
-        )
-        try:
-            result = run_experiment(experiment_id, context=context)
-            print(result.to_text())
-            if context is not None and show_stats:
-                print("--- execution-service stats ---")
-                print(context.executor.stats.to_text())
-        finally:
-            if context is not None:
-                context.close()
-        if context is not None:
-            if show_metrics and context.metrics_registry is not None:
+            try:
+                result = run_experiment(experiment_id, context=context)
+                print(result.to_text())
+                if context is not None and show_stats:
+                    print("--- execution-service stats ---")
+                    print(context.executor.stats.to_text())
+            finally:
+                if context is not None:
+                    context.close()
+            if show_metrics and context is not None:
                 print("--- metrics ---")
                 print(context.metrics_registry.to_text())
-            if trace is not None:
-                print(f"trace written to {trace}")
-        print()
+            print()
+    finally:
+        if trace_file is not None:
+            trace_file.close()
+    if trace is not None:
+        print(f"trace written to {trace}")
     return 0
 
 

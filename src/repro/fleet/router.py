@@ -13,8 +13,7 @@ ledger):
   the noise-adaptive reference sequence is better informed);
 * **prefix-cache affinity** — overlap between the request's
   ``instruction_hash_chain`` prefix and the chains recently routed to
-  the replica, the fleet-level analogue of the worker pool's
-  prefix-affinity scheduling: co-locating same-prefix requests keeps
+  the replica: co-locating same-prefix requests keeps
   lowering/prefix-state caches warm and makes the replica's dedup
   partition actually hit.
 

@@ -105,13 +105,9 @@ class FleetBackend:
     def submit(self, job):
         return self._dispatch([job], lambda: [self.inner.submit(job)])[0]
 
-    def submit_batch(self, jobs, parallel: bool = False, max_workers=None):
+    def submit_batch(self, jobs, parallel: bool = False):
         return self._dispatch(
-            jobs,
-            self.inner.submit_batch,
-            jobs,
-            parallel=parallel,
-            max_workers=max_workers,
+            jobs, self.inner.submit_batch, jobs, parallel=parallel
         )
 
     def __getattr__(self, name):
@@ -121,22 +117,13 @@ class FleetBackend:
         if name == "submit_batch_tolerant":
             inner_tolerant = getattr(self.inner, name)
 
-            def tolerant(jobs, parallel=False, max_workers=None):
+            def tolerant(jobs, parallel=False):
                 return self._dispatch(
-                    jobs,
-                    inner_tolerant,
-                    jobs,
-                    parallel=parallel,
-                    max_workers=max_workers,
+                    jobs, inner_tolerant, jobs, parallel=parallel
                 )
 
             return tolerant
         return getattr(self.inner, name)
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
 
 
 @dataclass(frozen=True)

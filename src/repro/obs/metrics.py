@@ -17,7 +17,7 @@ Semantics:
 * :class:`Counter` — monotonic; ``add`` refuses negative increments and
   ``advance_to`` (used when absorbing an absolute cumulative ledger
   value) never moves backwards, so repeated ingestion is idempotent.
-* :class:`Gauge` — last-write-wins level (pool size, resident bytes).
+* :class:`Gauge` — last-write-wins level (cache entries, resident bytes).
 * :class:`Histogram` — count/sum/min/max plus fixed decade buckets;
   enough to see the shape of span durations without reservoir sampling.
 """
@@ -65,7 +65,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-write-wins level (pool size, resident bytes, ...)."""
+    """A last-write-wins level (cache entries, resident bytes, ...)."""
 
     __slots__ = ("name", "value")
 
@@ -160,11 +160,10 @@ class Histogram:
 
 
 #: Ledger keys that are levels, not cumulative totals — ingested as
-#: gauges so a shrinking pool or an evicted cache never trips the
-#: counter monotonicity contract.
+#: gauges so an evicted cache never trips the counter monotonicity
+#: contract.
 _GAUGE_KEYS = frozenset(
     {
-        "workers",
         "entries",
         "prefix_entries",
         "prefix_bytes",

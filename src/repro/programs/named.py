@@ -10,6 +10,11 @@ multiplexer layers, zero-coefficient Trotter terms, check-and-restore
 parity pairs, Hadamard-sandwiched CZ oracles) is exactly what real
 generated circuits carry, and removing it shrinks the ANGEL ``1 + 2L``
 probe budget because whole links drop out of the routed program.
+
+They are reduced stand-ins, not the suites' full circuits: each keeps
+its namesake's generator shape at a size a density-matrix probe sweep
+can afford. ``basis_trotter_n4`` has 12 two-qubit gates, for example,
+where the same-named circuit quoted in ``SNIPPETS.md`` has 462.
 """
 
 from __future__ import annotations

@@ -320,7 +320,6 @@ class CloudQPUService:
         self,
         jobs: Sequence[Job],
         parallel: bool = False,
-        max_workers: Optional[int] = None,
         align_window: bool = False,
     ) -> BatchOutcome:
         """Submit a batch; per-job faults are reported positionally.
@@ -333,7 +332,7 @@ class CloudQPUService:
         mid-batch.
 
         With ``parallel`` the surviving jobs run through the local
-        backend's snapshot batch discipline (worker pool) instead of
+        backend's snapshot batch discipline instead of
         one-at-a-time sequential execution. The fault stream is drawn
         identically — one roll per non-dropped job, in submission order
         — so a given (profile, seed, workload) triple injects the same
@@ -362,9 +361,7 @@ class CloudQPUService:
                 "batch_suffix_drop", dropped=len(jobs) - drop_from
             )
         if parallel and drop_from > 1:
-            return self._execute_batch_parallel(
-                jobs, drop_from, max_workers
-            )
+            return self._execute_batch_parallel(jobs, drop_from)
         outcome = BatchOutcome()
         for index, job in enumerate(jobs):
             if index >= drop_from:
@@ -381,10 +378,7 @@ class CloudQPUService:
         return outcome
 
     def _execute_batch_parallel(
-        self,
-        jobs: Sequence[Job],
-        drop_from: int,
-        max_workers: Optional[int],
+        self, jobs: Sequence[Job], drop_from: int
     ) -> BatchOutcome:
         """Snapshot-batch execution of the non-dropped jobs.
 
@@ -404,9 +398,7 @@ class CloudQPUService:
         executed = {}
         if live:
             batch = self._local.submit_batch(
-                [jobs[i] for i in live],
-                parallel=len(live) > 1,
-                max_workers=max_workers,
+                [jobs[i] for i in live], parallel=len(live) > 1
             )
             executed = dict(zip(live, batch))
         outcome = BatchOutcome()
@@ -451,10 +443,6 @@ class CloudQPUService:
     def cache_stats(self) -> Dict[str, int]:
         """Device channel-cache counters (for executor instrumentation)."""
         return self._local.cache_stats()
-
-    def close(self) -> None:
-        """Release the local backend's worker pool, if one was spawned."""
-        self._local.close()
 
 
 def _dropped_error(job: Job, drop_from: int) -> ResultLostError:

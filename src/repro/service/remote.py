@@ -241,13 +241,10 @@ class RemoteBackend:
         )
 
     def submit_batch(
-        self,
-        jobs: Sequence[Job],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
+        self, jobs: Sequence[Job], parallel: bool = False
     ) -> List[JobResult]:
         """All-or-nothing batch: any permanent job failure raises."""
-        results = self.submit_batch_tolerant(jobs, parallel, max_workers)
+        results = self.submit_batch_tolerant(jobs, parallel)
         failed = [jobs[i] for i, r in enumerate(results) if r is None]
         if failed:
             raise JobFailedError(
@@ -259,19 +256,16 @@ class RemoteBackend:
         return results  # type: ignore[return-value]
 
     def submit_batch_tolerant(
-        self,
-        jobs: Sequence[Job],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
+        self, jobs: Sequence[Job], parallel: bool = False
     ) -> List[Optional[JobResult]]:
         """Batch submission with partial-batch recovery.
 
         Returns one slot per job in submission order; a ``None`` slot is
         a job that failed permanently (retry budget, deadline, or open
         breaker). Each retry round resubmits *only* the failed slots.
-        ``parallel``/``max_workers`` are forwarded to the service, whose
-        local fallback runs admitted jobs through the device's snapshot
-        batch discipline (persistent worker pool) when asked.
+        ``parallel`` is forwarded to the service, whose local fallback
+        runs admitted jobs through the device's snapshot batch
+        discipline when asked.
         """
         if not jobs:
             return []
@@ -301,7 +295,6 @@ class RemoteBackend:
                     outcome = self.service.execute_batch(
                         [jobs[i] for i in pending],
                         parallel=parallel,
-                        max_workers=max_workers,
                         align_window=self.align_windows,
                     )
                 except TransientServiceError as exc:

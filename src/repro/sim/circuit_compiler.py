@@ -76,10 +76,10 @@ def instruction_hash_chain(
     keys are stable across processes — but computed straight off the
     instruction stream, with no device hooks and no matrix work. Two
     circuits share a chain prefix exactly when they share an instruction
-    prefix, which is what the worker pool's prefix-affinity scheduler
-    groups on: candidates that would hit the same
+    prefix, which is what the fleet router's prefix-cache affinity
+    scores: requests that would hit the same
     :class:`~repro.sim.sim_cache.PrefixStateCache` snapshots land on the
-    same worker.
+    same replica.
     """
     digest = hashlib.blake2b(
         repr(("instructions", circuit.num_qubits, tuple(hash_seed))).encode(),
@@ -239,7 +239,7 @@ class CircuitCompiler:
         """Rolling content hash after each fused operator.
 
         ``blake2b`` (not Python's salted ``hash``) keeps keys stable
-        across processes, so pool workers and the parent share prefixes.
+        across processes and interpreter runs.
         """
         digest = hashlib.blake2b(
             repr(("lowered", num_qubits, self.hash_seed)).encode(),

@@ -232,9 +232,7 @@ class TestGroupedBatchPath:
 
     def test_executor_stats_carry_batch_counters(self):
         device = aspen11(seed=23)
-        executor = BatchExecutor(
-            LocalBackend(device), mode="parallel", max_workers=1
-        )
+        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         circuits = self._probe_circuits(device)
         jobs = [
             Job(c, 128, seed=100 + i, tag="probe")

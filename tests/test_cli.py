@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import Angel, AngelConfig
+from repro.exec import BatchExecutor, Job
+from repro.experiments.context import ExperimentContext
+from repro.programs import get_benchmark
 
 
 class TestParser:
@@ -167,3 +171,75 @@ class TestCommands:
         assert main(["serve", "--fleet-record", "x.json"]) == 1
         err = capsys.readouterr().err
         assert "require --fleet" in err
+
+
+class TestParallelFlag:
+    """``--parallel`` runs probes as in-process snapshot batches."""
+
+    _ARGS = [
+        "compile",
+        "GHZ_n4",
+        "--parallel",
+        "--stats",
+        "--seed",
+        "3",
+        "--drift-hours",
+        "2",
+        "--probe-shots",
+        "64",
+        "--shots",
+        "128",
+    ]
+
+    @staticmethod
+    def _record_counts(monkeypatch):
+        """Every result's counts, in submission order, for any executor."""
+        seen = []
+        submit_batch = BatchExecutor.submit_batch
+
+        def recording(self, jobs, allow_failures=False):
+            results = submit_batch(self, jobs, allow_failures)
+            seen.append((self.mode, [r.counts for r in results]))
+            return results
+
+        monkeypatch.setattr(BatchExecutor, "submit_batch", recording)
+        return seen
+
+    def test_cli_matches_library_parallel_context(self, monkeypatch, capsys):
+        seen = self._record_counts(monkeypatch)
+        assert main(self._ARGS) == 0
+        out = capsys.readouterr().out
+        assert "CopyCat probes" in out and "jobs:" in out
+        cli_counts = list(seen)
+        seen.clear()
+
+        context = ExperimentContext.create(
+            device_name="aspen-11", seed=3, drift_hours=2.0, parallel=True
+        )
+        try:
+            compiled = context.transpile(get_benchmark("GHZ_n4").build())
+            result = Angel(
+                context.device,
+                context.calibration,
+                AngelConfig(probe_shots=64, seed=3),
+                executor=context.executor,
+            ).select(compiled)
+            native = compiled.nativized(
+                result.sequence, name_suffix="_angel"
+            )
+            context.executor.submit(Job(native, 128, tag="final"))
+        finally:
+            context.close()
+
+        assert seen == cli_counts
+        assert {mode for mode, _ in cli_counts} == {"parallel"}
+        # Probe batches (more than one job) actually ran as snapshots.
+        assert any(len(counts) > 1 for _, counts in cli_counts)
+
+    def test_max_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._ARGS + ["--max-workers", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-workers" in (
+            capsys.readouterr().err
+        )

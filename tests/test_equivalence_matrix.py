@@ -4,17 +4,14 @@ One parametrized matrix pins the repo's central execution contract: for
 snapshot (parallel-discipline) batches with per-job seeds, the counts a
 probe batch produces are **bit-identical** across
 
-  {simulation cache on, off} x {pool 1 worker, 4 workers}
-                             x {local backend, zero-fault remote}.
+  {simulation cache on, off} x {local backend, zero-fault remote}.
 
-All eight combinations run the same seeded GHZ/QAOA probe batches on the
+All four combinations run the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
 across a mid-batch ``advance_time`` drift boundary applied identically
-to every combination. The 1-worker in-process path is the reference;
+to every combination. The cache-on local path is the reference;
 everything else must match it exactly — not statistically.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -33,24 +30,6 @@ from repro.service import (
 )
 
 _HOUR_US = 3_600e6
-
-
-def _noop():  # pragma: no cover - runs in the probe child process
-    pass
-
-
-def _pools_available() -> bool:
-    """Whether this environment can spawn worker processes at all."""
-    try:
-        process = multiprocessing.get_context().Process(target=_noop)
-        process.start()
-        process.join(5.0)
-        return process.exitcode == 0
-    except (OSError, ValueError):
-        return False
-
-
-_POOLS = _pools_available()
 
 
 def _device(
@@ -88,7 +67,6 @@ def _probe_jobs(device):
 
 def _run_combo(
     sim_cache: bool,
-    workers: int,
     backend_kind: str,
     batched: bool = True,
     clifford: bool = False,
@@ -101,34 +79,22 @@ def _run_combo(
     else:
         service = CloudQPUService(device, fault_profile("none"), seed=0)
         backend = RemoteBackend(service, seed=0)
-    executor = BatchExecutor(
-        backend, mode="parallel", max_workers=workers
-    )
+    executor = BatchExecutor(backend, mode="parallel")
     jobs = _probe_jobs(device)
     half = len(jobs) // 2
-    try:
-        first = executor.submit_batch(jobs[:half])
-        # Drift boundary between batches: every combination crosses the
-        # same simulated-time epoch at the same point in the workload.
-        device.advance_time(2.0 * _HOUR_US)
-        second = executor.submit_batch(jobs[half:])
-        if clifford and workers == 1 and backend_kind == "local":
-            # Under the default noise profile the coherent-error budget
-            # always exceeds the fast path's exactness threshold, so
-            # every probe must fall back to the dense engine — that is
-            # what makes this combination bit-identical, not merely
-            # statistically close.
-            assert device.clifford_fast_hits == 0
-            assert device.clifford_fallbacks > 0
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
-        service_close = getattr(
-            getattr(backend, "service", None), "close", None
-        )
-        if service_close is not None:
-            service_close()
+    first = executor.submit_batch(jobs[:half])
+    # Drift boundary between batches: every combination crosses the
+    # same simulated-time epoch at the same point in the workload.
+    device.advance_time(2.0 * _HOUR_US)
+    second = executor.submit_batch(jobs[half:])
+    if clifford and backend_kind == "local":
+        # Under the default noise profile the coherent-error budget
+        # always exceeds the fast path's exactness threshold, so every
+        # probe must fall back to the dense engine — that is what makes
+        # this combination bit-identical, not merely statistically
+        # close.
+        assert device.clifford_fast_hits == 0
+        assert device.clifford_fallbacks > 0
     return [
         (result.job_id, dict(sorted(result.counts.items())))
         for result in first + second
@@ -138,22 +104,10 @@ def _run_combo(
 _MATRIX = [
     pytest.param(
         sim_cache,
-        workers,
         backend_kind,
-        id=f"cache_{'on' if sim_cache else 'off'}-"
-        f"workers_{workers}-{backend_kind}",
-        marks=(
-            []
-            if workers == 1 or _POOLS
-            else [
-                pytest.mark.skip(
-                    reason="process pools unavailable in this environment"
-                )
-            ]
-        ),
+        id=f"cache_{'on' if sim_cache else 'off'}-{backend_kind}",
     )
     for sim_cache in (True, False)
-    for workers in (1, 4)
     for backend_kind in ("local", "remote")
 ]
 
@@ -162,80 +116,62 @@ _ENGINE_MATRIX = [
     pytest.param(
         batched,
         clifford,
-        workers,
         sim_cache,
         id=f"batched_{'on' if batched else 'off'}-"
         f"clifford_{'on' if clifford else 'off'}-"
-        f"workers_{workers}-cache_{'on' if sim_cache else 'off'}",
-        marks=(
-            []
-            if workers == 1 or _POOLS
-            else [
-                pytest.mark.skip(
-                    reason="process pools unavailable in this environment"
-                )
-            ]
-        ),
+        f"cache_{'on' if sim_cache else 'off'}",
     )
     for batched in (True, False)
     for clifford in (True, False)
-    for workers in (1, 4)
     for sim_cache in (True, False)
 ]
 
 
 @pytest.fixture(scope="module")
 def reference_counts():
-    """The 1-worker in-process, cache-on, local-backend baseline."""
-    return _run_combo(sim_cache=True, workers=1, backend_kind="local")
+    """The cache-on, local-backend baseline."""
+    return _run_combo(sim_cache=True, backend_kind="local")
 
 
-@pytest.mark.parametrize("sim_cache,workers,backend_kind", _MATRIX)
+@pytest.mark.parametrize("sim_cache,backend_kind", _MATRIX)
 def test_counts_bit_identical_across_matrix(
-    sim_cache, workers, backend_kind, reference_counts
+    sim_cache, backend_kind, reference_counts
 ):
-    counts = _run_combo(sim_cache, workers, backend_kind)
+    counts = _run_combo(sim_cache, backend_kind)
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
             f"{job_id}: counts diverged under sim_cache={sim_cache}, "
-            f"workers={workers}, backend={backend_kind}"
+            f"backend={backend_kind}"
         )
 
 
-@pytest.mark.parametrize(
-    "batched,clifford,workers,sim_cache", _ENGINE_MATRIX
-)
+@pytest.mark.parametrize("batched,clifford,sim_cache", _ENGINE_MATRIX)
 def test_counts_bit_identical_across_engine_matrix(
-    batched, clifford, workers, sim_cache, reference_counts
+    batched, clifford, sim_cache, reference_counts
 ):
-    """{batched on/off} x {clifford on/off} x {1/4 workers} x
-    {sim cache on/off}: same counts, including the mid-batch drift
-    boundary. The clifford axis stays bit-identical because the default
-    profile's coherent errors force the dense fallback on every probe
-    (asserted inside ``_run_combo``)."""
+    """{batched on/off} x {clifford on/off} x {sim cache on/off}: same
+    counts, including the mid-batch drift boundary. The clifford axis
+    stays bit-identical because the default profile's coherent errors
+    force the dense fallback on every probe (asserted inside
+    ``_run_combo``)."""
     counts = _run_combo(
-        sim_cache,
-        workers,
-        "local",
-        batched=batched,
-        clifford=clifford,
+        sim_cache, "local", batched=batched, clifford=clifford
     )
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
             f"{job_id}: counts diverged under batched={batched}, "
-            f"clifford={clifford}, workers={workers}, "
-            f"sim_cache={sim_cache}"
+            f"clifford={clifford}, sim_cache={sim_cache}"
         )
 
 
 def test_matrix_reference_is_deterministic(reference_counts):
     """Rerunning the reference combination reproduces itself exactly
     (guards the fixture against hidden global state)."""
-    again = _run_combo(sim_cache=True, workers=1, backend_kind="local")
+    again = _run_combo(sim_cache=True, backend_kind="local")
     assert again == reference_counts
 
 
@@ -246,7 +182,7 @@ def _final_runs(optimization_level, explicit=True):
     """(name, ideal, counts) per program at one optimization level."""
     device = _device(sim_cache=True)
     backend = LocalBackend(device)
-    executor = BatchExecutor(backend, mode="parallel", max_workers=1)
+    executor = BatchExecutor(backend, mode="parallel")
     runs = []
     seed = 9500
     for program in (ghz(4), qaoa_n5()):

@@ -95,10 +95,7 @@ class TestLocalBackend:
             Job(_native_ghz(device_b), 100, seed=s, tag="probe")
             for s in (1, 2, 3)
         ]
-        # max_workers=1 exercises the in-process snapshot path.
-        par = LocalBackend(device_a).submit_batch(
-            jobs_a, parallel=True, max_workers=1
-        )
+        par = LocalBackend(device_a).submit_batch(jobs_a, parallel=True)
         seq = LocalBackend(device_b).submit_batch(jobs_b, parallel=False)
         assert device_a.clock_us == device_b.clock_us
         assert [r.started_at_us for r in par] == [
@@ -114,9 +111,7 @@ class TestLocalBackend:
             jobs = [
                 Job(_native_ghz(device), 100, seed=s) for s in (5, 6)
             ]
-            batch = LocalBackend(device).submit_batch(
-                jobs, parallel=True, max_workers=1
-            )
+            batch = LocalBackend(device).submit_batch(jobs, parallel=True)
             results.append([r.counts for r in batch])
         assert results[0] == results[1]
 
@@ -129,9 +124,7 @@ class TestLocalBackend:
             device, _ = _env(seed=41)
             jobs = [Job(_native_ghz(device), 100) for _ in range(3)]
             assert all(job.seed is None for job in jobs)
-            batch = LocalBackend(device).submit_batch(
-                jobs, parallel=True, max_workers=1
-            )
+            batch = LocalBackend(device).submit_batch(jobs, parallel=True)
             results.append([r.counts for r in batch])
             assert all(
                 sum(r.counts.values()) == 100 for r in batch
@@ -140,71 +133,8 @@ class TestLocalBackend:
         # A different device seed gives a different unseeded stream.
         device_c, _ = _env(seed=42)
         jobs_c = [Job(_native_ghz(device_c), 100) for _ in range(3)]
-        batch_c = LocalBackend(device_c).submit_batch(
-            jobs_c, parallel=True, max_workers=1
-        )
+        batch_c = LocalBackend(device_c).submit_batch(jobs_c, parallel=True)
         assert [r.counts for r in batch_c] != results[0]
-
-    def test_pool_failure_falls_back_in_process(self, monkeypatch):
-        """Pool breakage degrades to in-process, counted and warned once
-        per backend instance (the warning flag is not process-global)."""
-        import repro.exec.backend as backend_module
-
-        class _BrokenPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process spawning here")
-
-        monkeypatch.setattr(backend_module, "WorkerPool", _BrokenPool)
-        device, _ = _env()
-        backend = LocalBackend(device)
-        executor = BatchExecutor(
-            backend, mode="parallel", max_workers=4
-        )
-        jobs = [
-            Job(_native_ghz(device), 50, seed=s, tag="probe")
-            for s in (1, 2)
-        ]
-        with pytest.warns(RuntimeWarning, match="pool unavailable"):
-            results = executor.submit_batch(jobs)
-        assert all(sum(r.counts.values()) == 50 for r in results)
-        assert backend.pool_fallbacks == 1
-        assert backend.cache_stats()["pool_fallbacks"] == 1
-        assert executor.stats.pool_fallbacks == 1
-        assert executor.stats.snapshot()["pool_fallbacks"] == 1
-        # Second fallback: counted again, but no second warning.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            executor.submit_batch(
-                [Job(_native_ghz(device), 50, seed=s) for s in (3, 4)]
-            )
-        assert backend.pool_fallbacks == 2
-        # A fresh backend instance warns again: the flag is per-instance.
-        other = LocalBackend(device)
-        with pytest.warns(RuntimeWarning, match="pool unavailable"):
-            other.submit_batch(
-                [Job(_native_ghz(device), 50, seed=s) for s in (5, 6)],
-                parallel=True,
-                max_workers=4,
-            )
-        assert other.pool_fallbacks == 1
-
-    def test_pool_real_errors_propagate(self, monkeypatch):
-        """Non-environment exceptions are not swallowed by the fallback."""
-        import repro.exec.backend as backend_module
-
-        class _ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise ValueError("a real bug, not a sandbox")
-
-        monkeypatch.setattr(backend_module, "WorkerPool", _ExplodingPool)
-        device, _ = _env()
-        backend = LocalBackend(device)
-        jobs = [Job(_native_ghz(device), 50, seed=s) for s in (1, 2)]
-        with pytest.raises(ValueError):
-            backend.submit_batch(jobs, parallel=True, max_workers=4)
-        assert backend.pool_fallbacks == 0
 
 
 class TestBatchExecutor:

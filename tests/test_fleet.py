@@ -279,7 +279,7 @@ class _FakeResult:
 class _FakeBackend:
     name = "fake"
 
-    def submit_batch(self, jobs, parallel=False, max_workers=None):
+    def submit_batch(self, jobs, parallel=False):
         return [_FakeResult(10.0) for _ in jobs]
 
     def cache_stats(self):
@@ -287,7 +287,7 @@ class _FakeBackend:
 
 
 class _TolerantFakeBackend(_FakeBackend):
-    def submit_batch_tolerant(self, jobs, parallel=False, max_workers=None):
+    def submit_batch_tolerant(self, jobs, parallel=False):
         # Last job fails (None slot), contributing no device time.
         return [_FakeResult(10.0) for _ in jobs[:-1]] + [None]
 

@@ -182,8 +182,8 @@ class TestRuntime:
         tracer = Tracer()
         with observed(tracer):
             with tracer.span("root") as root:
-                obs_runtime.event("pool.fallback", error="OSError")
-        assert [e.name for e in root.events] == ["pool.fallback"]
+                obs_runtime.event("remote.fast_fail", pending=2)
+        assert [e.name for e in root.events] == ["remote.fast_fail"]
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +205,7 @@ class TestMetricsRegistry:
             "exec",
             {
                 "jobs": 5,
-                "workers": 4,  # gauge key
+                "entries": 4,  # gauge key
                 "jobs_by_tag": {"probe": 3, "final": 2},
                 "name": "local",  # non-numeric: skipped
                 "flag": True,  # bool: skipped
@@ -214,7 +214,7 @@ class TestMetricsRegistry:
         snap = registry.snapshot()
         assert snap["counters"]["exec.jobs"] == 5
         assert snap["counters"]["exec.jobs_by_tag.probe"] == 3
-        assert snap["gauges"]["exec.workers"] == 4
+        assert snap["gauges"]["exec.entries"] == 4
         assert "exec.name" not in snap["counters"]
         assert "exec.flag" not in snap["counters"]
 
@@ -241,11 +241,11 @@ class TestMetricsRegistry:
     def test_to_text_and_jsonl_roundtrip(self):
         registry = MetricsRegistry()
         registry.counter("exec.jobs").add(3)
-        registry.gauge("cache.workers").set(2)
+        registry.gauge("cache.entries").set(2)
         registry.histogram("span.job.wall_s").observe(0.5)
         text = registry.to_text()
         assert "exec.jobs" in text
-        assert "cache.workers" in text
+        assert "cache.entries" in text
         buffer = io.StringIO()
         registry.dump_jsonl(buffer)
         lines = [json.loads(l) for l in buffer.getvalue().splitlines()]
@@ -382,6 +382,27 @@ class TestContextPlumbing:
         rendered = render_trace(spans)
         assert "angel.select" in rendered
         assert "backend.job" in rendered
+
+    def test_runner_trace_keeps_every_experiment(self, tmp_path, capsys):
+        """``runner --trace`` over two ids writes both experiments'
+        spans to the one file, not just the last experiment's."""
+        from repro.experiments.runner import main as runner_main
+
+        def roots(ids, name):
+            path = tmp_path / name
+            assert runner_main(["--trace", str(path), *ids]) == 0
+            out = capsys.readouterr().out
+            assert out.count("trace written") == 1
+            spans = read_trace(str(path))
+            return [s for s in spans if s["parent_id"] is None]
+
+        single = roots(["fig1c"], "one.jsonl")
+        double = roots(["fig1c", "fig1c"], "two.jsonl")
+        assert single
+        assert len(double) == 2 * len(single)
+        assert [s["name"] for s in double] == 2 * [
+            s["name"] for s in single
+        ]
 
     def test_cli_angel_alias_with_trace(self, tmp_path, capsys):
         from repro.cli import main

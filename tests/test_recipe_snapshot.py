@@ -160,7 +160,7 @@ def test_every_key_field_selects_its_own_snapshot(monkeypatch):
     for kwargs in (
         dict(backend="remote", fault_profile="light", fault_seed=5),
         dict(optimization_level=2, metrics=True),
-        dict(parallel=True, max_workers=1),
+        dict(parallel=True),
     ):
         ExperimentContext.create(drift_hours=_DRIFT, **kwargs).close()
     assert set(recorded[len(variants):]) == {recorded[0]}

@@ -169,12 +169,8 @@ class TestDriftInvalidation:
             Job(_native(dev_off, ghz(5)), 500, seed=s, tag="probe")
             for s in (1, 2, 3)
         ]
-        first_on = backend_on.submit_batch(
-            jobs_on, parallel=True, max_workers=1
-        )
-        first_off = backend_off.submit_batch(
-            jobs_off, parallel=True, max_workers=1
-        )
+        first_on = backend_on.submit_batch(jobs_on, parallel=True)
+        first_off = backend_off.submit_batch(jobs_off, parallel=True)
         assert [r.counts for r in first_on] == [r.counts for r in first_off]
         # Identical probes in one snapshot batch: the batched engine
         # dedups them in-batch (simulated once, fanned out).
@@ -182,12 +178,8 @@ class TestDriftInvalidation:
 
         dev_on.advance_time(12 * 3600e6)
         dev_off.advance_time(12 * 3600e6)
-        second_on = backend_on.submit_batch(
-            jobs_on, parallel=True, max_workers=1
-        )
-        second_off = backend_off.submit_batch(
-            jobs_off, parallel=True, max_workers=1
-        )
+        second_on = backend_on.submit_batch(jobs_on, parallel=True)
+        second_off = backend_off.submit_batch(jobs_off, parallel=True)
         # Stale service would reproduce the uncached *pre-drift* counts;
         # instead both paths agree on the *post-drift* physics.
         assert [r.counts for r in second_on] == [
@@ -256,9 +248,7 @@ class TestPrefixStateCache:
 class TestExecutorStatsPlumbing:
     def test_sim_counters_flow_into_executor_stats(self):
         device = small_test_device(5, seed=9)
-        executor = BatchExecutor(
-            LocalBackend(device), mode="parallel", max_workers=1
-        )
+        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         circuit = _native(device, ghz(5))
         jobs = [Job(circuit, 200, seed=s, tag="probe") for s in (1, 2, 3)]
         executor.submit_batch(jobs)
