@@ -1,10 +1,11 @@
-"""Probe-throughput micro-benchmark: channel cache on vs off.
+"""Probe-throughput micro-benchmark: product path vs per-Kraus oracle.
 
 Standalone script (no pytest-benchmark dependency) measuring the cost of
-ANGEL-style CopyCat probes through the execution service with the
-device's fused-channel cache enabled and disabled, and checking the two
-paths produce the same physics. Writes ``BENCH_exec.json`` next to this
-file.
+ANGEL-style CopyCat probes through the execution service (fused channel
+cache, lowering, simulation cache) against the same jobs run one Kraus
+channel at a time (``reference_distribution``, then sampling with the
+job's seed, then ``log_execution``), and checking the two produce the
+same counts. Writes ``BENCH_exec.json`` next to this file.
 
 Usage::
 
@@ -12,7 +13,7 @@ Usage::
 
 ``--quick`` trims the job count for CI smoke runs. The acceptance bar
 (enforced by ``--check``) is a >=2x cached-over-uncached speedup with
-seed-identical counts in sequential mode.
+seed-identical counts in sequential mode; "uncached" is the oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +31,28 @@ from repro.core.sequence import NativeGateSequence, enumerate_sequences
 from repro.device.presets import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.programs.ghz import ghz
+from repro.sim import sample_distribution
 
 
-def _make_device(channel_cache: bool, seed: int = 23):
-    return small_test_device(6, seed=seed, channel_cache=channel_cache)
+def _make_device(seed: int = 23):
+    return small_test_device(6, seed=seed)
+
+
+def _run_cached(device, jobs):
+    executor = BatchExecutor(LocalBackend(device))
+    job_results = executor.submit_batch(jobs)
+    return [r.counts for r in job_results], executor.stats.cache_hits
+
+
+def _run_uncached(device, jobs):
+    """Each job on the per-Kraus oracle, sampled and logged in turn."""
+    counts = []
+    for job in jobs:
+        distribution = device.reference_distribution(job.circuit)
+        rng = np.random.default_rng(job.seed)
+        counts.append(sample_distribution(distribution, job.shots, rng))
+        device.log_execution(job.circuit, job.shots, seed=job.seed)
+    return counts, device.channel_cache.hits
 
 
 def _probe_jobs(device, shots: int, count: int, seed: int = 5):
@@ -56,23 +75,24 @@ def _probe_jobs(device, shots: int, count: int, seed: int = 5):
 def run(num_jobs: int, shots: int):
     results = {}
     counts_by_mode = {}
-    for mode, cached in (("uncached", False), ("cached", True)):
-        device = _make_device(channel_cache=cached)
-        executor = BatchExecutor(LocalBackend(device))
+    for mode, execute in (
+        ("uncached", _run_uncached), ("cached", _run_cached)
+    ):
+        device = _make_device()
         jobs = _probe_jobs(device, shots, num_jobs)
         start = time.perf_counter()
-        job_results = executor.submit_batch(jobs)
+        counts, cache_hits = execute(device, jobs)
         elapsed = time.perf_counter() - start
-        counts_by_mode[mode] = [r.counts for r in job_results]
+        counts_by_mode[mode] = counts
         results[mode] = {
             "jobs": num_jobs,
             "shots_per_job": shots,
             "wall_time_s": elapsed,
             "ms_per_job": 1e3 * elapsed / num_jobs,
-            "cache": executor.stats.snapshot()["cache_hits"],
+            "cache": cache_hits,
         }
     # Same device seeds + same sampling seeds: the cached path must
-    # reproduce the uncached counts exactly (the cache keys embed the
+    # reproduce the oracle's counts exactly (the cache keys embed the
     # drifting parameter values, so staleness cannot leak in).
     identical = counts_by_mode["cached"] == counts_by_mode["uncached"]
     speedup = (

@@ -83,7 +83,7 @@ def _probe_round(device, compiled, shots: int, rng) -> list:
 
 def _sweep_time_s(rounds: int, shots: int, tracer=None, registry=None):
     """Wall time of the GHZ-7 probe sweep under one observability mode."""
-    device = aspen11(seed=23, sim_cache=True)
+    device = aspen11(seed=23)
     compiled = transpile(ghz(7), device)
     executor = BatchExecutor(LocalBackend(device), mode="parallel")
     rng = np.random.default_rng(5)

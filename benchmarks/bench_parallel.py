@@ -62,7 +62,7 @@ def _rounds_of_jobs(device, rounds: int, shots: int, repeats: int):
 
 
 def _timed_leg(mode: str, rounds: int, shots: int, repeats: int):
-    device = aspen11(seed=23, sim_cache=True)
+    device = aspen11(seed=23)
     executor = BatchExecutor(LocalBackend(device), mode=mode)
     all_counts = []
     jobs_total = 0
@@ -84,7 +84,7 @@ def _timed_leg(mode: str, rounds: int, shots: int, repeats: int):
 def _reference_counts(rounds: int, shots: int, repeats: int):
     """Per-job reference for snapshot batches: every job of a round
     sees the round-start snapshot, then the clock advances per job."""
-    device = aspen11(seed=23, sim_cache=True)
+    device = aspen11(seed=23)
     all_counts = []
     for jobs in _rounds_of_jobs(device, rounds, shots, repeats):
         distributions = [device.noisy_distribution(j.circuit) for j in jobs]

@@ -1,12 +1,15 @@
-"""Simulation-cache benchmark: hierarchy on vs off on probe workloads.
+"""Simulation-cache benchmark: the hierarchy vs uncached fused simulation.
 
 Standalone script (no pytest-benchmark dependency) measuring a repeated
 localized-search probe workload — GHZ-7 on an Aspen-11 subgraph (8
 links), per-link batches of reference + mass-replacement candidates,
 each sweep re-probed twice for confidence and submitted as
-calibration-window snapshot batches — with the simulation
+calibration-window snapshot batches — through the device's simulation
 cache hierarchy (layer fusion + prefix-state memoization + distribution
-caching) enabled and disabled, and checking the two paths produce
+caching), and through an uncached baseline built here: every job's
+distribution from a plain ``DensityMatrixSimulator`` running the
+device's fused per-gate superoperators at the batch-start snapshot,
+then sampled with the job's seed and logged. It checks the two produce
 seed-identical counts. Writes ``BENCH_sim.json`` next to this file's
 parent directory.
 
@@ -34,6 +37,7 @@ from repro.core.sequence import NativeGateSequence
 from repro.device.presets import aspen11
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.programs.ghz import ghz
+from repro.sim import DensityMatrixSimulator, sample_distribution
 
 
 def _probe_round(device, compiled, shots: int, rng) -> list:
@@ -77,14 +81,45 @@ def _probe_round(device, compiled, shots: int, rng) -> list:
     return jobs
 
 
+def _uncached_distribution(device, circuit):
+    """One job's fused-operation simulation with no lowering or memo."""
+    compact, used = device._prepared(circuit)
+    simulator = DensityMatrixSimulator(
+        device._noise_callback_factory(used),
+        operation_compiler=device._operation_compiler_factory(used),
+    )
+    readout = [device.qubit_params[phys].readout_error() for phys in used]
+    return simulator.distribution(compact, readout_errors=readout)
+
+
+def _uncached_batch(device, jobs):
+    """A snapshot batch without the hierarchy: every distribution at the
+    batch-start parameters, then each job sampled and logged in turn."""
+    distributions = [
+        _uncached_distribution(device, job.circuit) for job in jobs
+    ]
+    counts = []
+    for job, distribution in zip(jobs, distributions):
+        rng = np.random.default_rng(job.seed)
+        counts.append(sample_distribution(distribution, job.shots, rng))
+        device.log_execution(job.circuit, job.shots, seed=job.seed)
+    return counts
+
+
+def _hierarchy_batch(device, jobs):
+    executor = BatchExecutor(LocalBackend(device), mode="parallel")
+    return [r.counts for r in executor.submit_batch(jobs)]
+
+
 def run(rounds: int, shots: int, repeats: int = 2):
     results = {}
     counts_by_mode = {}
-    for mode, cached in (("uncached", False), ("hierarchy", True)):
-        device = aspen11(seed=23, sim_cache=cached)
+    for mode, submit_batch in (
+        ("uncached", _uncached_batch), ("hierarchy", _hierarchy_batch)
+    ):
+        device = aspen11(seed=23)
         compiled = transpile(ghz(7), device)
         assert len(compiled.links_used()) >= 4, "need >= 4 Aspen-11 links"
-        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         rng = np.random.default_rng(5)
         all_counts = []
         jobs_total = 0
@@ -98,11 +133,10 @@ def run(rounds: int, shots: int, repeats: int = 2):
             for _ in range(repeats):
                 jobs.extend(_probe_round(device, compiled, shots, rng))
             jobs_total += len(jobs)
-            batch = executor.submit_batch(jobs)
-            all_counts.extend(r.counts for r in batch)
+            all_counts.extend(submit_batch(device, jobs))
         elapsed = time.perf_counter() - start
         counts_by_mode[mode] = all_counts
-        stats = executor.stats.snapshot()
+        sim = device.sim_cache
         results[mode] = {
             "rounds": rounds,
             "jobs": jobs_total,
@@ -110,10 +144,10 @@ def run(rounds: int, shots: int, repeats: int = 2):
             "links": len(compiled.links_used()),
             "wall_time_s": elapsed,
             "ms_per_job": 1e3 * elapsed / jobs_total,
-            "dist_hits": stats["sim_dist_hits"],
-            "dist_misses": stats["sim_dist_misses"],
-            "prefix_hits": stats["sim_prefix_hits"],
-            "prefix_misses": stats["sim_prefix_misses"],
+            "dist_hits": sim.dist_hits,
+            "dist_misses": sim.dist_misses,
+            "prefix_hits": sim.prefix.hits,
+            "prefix_misses": sim.prefix.misses,
         }
     # Same device seed + same per-job sampling seeds: the hierarchy must
     # reproduce the uncached counts exactly (every cache hit replays a

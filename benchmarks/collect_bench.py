@@ -110,11 +110,16 @@ def collect(root: Path):
 
 
 def flag_regressions(entries, previous):
-    """Compare each headline to the pinned trajectory, bad-side only."""
+    """Compare each headline to the pinned trajectory, bad-side only.
+
+    A headline is compared only when its report ran the pinned
+    ``workload``; a report taken at another budget (``--smoke`` against
+    a full run, say) becomes the new baseline without a flag.
+    """
     flags = []
     for name, entry in entries.items():
         prior = previous.get(name)
-        if not prior:
+        if not prior or prior.get("workload", "") != entry["workload"]:
             continue
         old, new = prior["value"], entry["value"]
         if old == 0:

@@ -13,8 +13,8 @@ Commands:
   (:mod:`repro.loadgen`): seeded arrival processes, SLO percentile
   extraction from spans, and a pass/fail verdict table (``--check``
   turns violations into a nonzero exit).
-* ``experiments`` — regenerate paper artifacts (delegates to
-  :mod:`repro.experiments.runner`).
+* ``experiments`` — regenerate paper artifacts (runs the
+  :mod:`repro.experiments.registry` entries).
 * ``device`` — print a device's topology and calibrated fidelity map.
 * ``suite`` — print the benchmark suite (Table I).
 * ``draw`` — ASCII-render a program.
@@ -27,7 +27,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .circuit import QuantumCircuit, from_qasm, to_qasm
 from .compiler import OPTIMIZATION_LEVELS
@@ -53,28 +53,30 @@ def _load_program(source: str) -> QuantumCircuit:
     return get_benchmark(source).build()
 
 
+def engine_options(args: argparse.Namespace) -> Dict[str, object]:
+    """``ExperimentContext.create`` keyword arguments from the flags
+    :func:`add_engine_arguments` defines."""
+    return dict(
+        backend=args.backend,
+        fault_profile=args.fault_profile,
+        fault_seed=args.fault_seed,
+        batched_sim=not args.no_batched_sim,
+        clifford_fast_path=(
+            args.clifford_fast_path and not args.no_clifford_fast_path
+        ),
+        parallel=args.parallel,
+        trace=args.trace,
+        metrics=args.metrics,
+        optimization_level=0 if args.no_opt_passes else args.opt_level,
+    )
+
+
 def _make_context(args: argparse.Namespace) -> ExperimentContext:
     return ExperimentContext.create(
         device_name=args.device,
         seed=args.seed,
         drift_hours=args.drift_hours,
-        backend=getattr(args, "backend", "local"),
-        fault_profile=getattr(args, "fault_profile", "none"),
-        fault_seed=getattr(args, "fault_seed", 0),
-        sim_cache=not getattr(args, "no_sim_cache", False),
-        batched_sim=not getattr(args, "no_batched_sim", False),
-        clifford_fast_path=(
-            getattr(args, "clifford_fast_path", False)
-            and not getattr(args, "no_clifford_fast_path", False)
-        ),
-        parallel=getattr(args, "parallel", False),
-        trace=getattr(args, "trace", None),
-        metrics=getattr(args, "metrics", False),
-        optimization_level=(
-            0
-            if getattr(args, "no_opt_passes", False)
-            else getattr(args, "opt_level", 0)
-        ),
+        **engine_options(args),
     )
 
 
@@ -106,6 +108,12 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         default=30.0,
         help="hours of drift since the last full calibration",
     )
+    add_engine_arguments(parser)
+
+
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Backend, fault, engine, optimization and observability flags
+    (shared with :mod:`repro.experiments.runner`)."""
     parser.add_argument(
         "--backend",
         default="local",
@@ -124,12 +132,6 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="seed for the service fault stream and backoff jitter",
-    )
-    parser.add_argument(
-        "--no-sim-cache",
-        action="store_true",
-        help="disable the simulation cache hierarchy (prefix-state and "
-        "distribution memoization) for A/B runs against the uncached path",
     )
     parser.add_argument(
         "--no-batched-sim",

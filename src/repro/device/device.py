@@ -131,28 +131,13 @@ class RigettiAspenDevice:
             frequency-crowding crosstalk the paper cites as a motivation
             for richer native gate sets (Section II-B). Extension; 0
             disables it (default).
-        channel_cache: Memoize noise-channel construction and fuse each
-            gate's ideal unitary plus its whole noise tail into one
-            cached superoperator (applied as a single contraction). The
-            cache is keyed on the current noise-parameter values and
-            cleared whenever :meth:`advance_time` drifts them (tracked
-            by :attr:`drift_epoch`), so it is exact. On by default;
-            disable to run the reference per-Kraus-operator path.
-        sim_cache: Enable the circuit-level simulation cache hierarchy
-            (:class:`~repro.sim.sim_cache.SimulationCache`): lowering +
-            layer fusion, prefix-state memoization, and exact-noisy-
-            distribution caching, all invalidated on every
-            ``drift_epoch`` bump. Requires ``channel_cache`` (the
-            lowering path goes through the fused operation compiler);
-            on by default, disable for A/B runs against the uncached
-            simulation path (``--no-sim-cache`` in the CLI).
         batched_sim: Enable the batched candidate engine: batch entry
             points (:meth:`noisy_distribution_batch`) stack candidates
             sharing a lowered suffix onto a leading candidate axis and
             contract the shared suffix once
             (:mod:`repro.sim.batched`), after deduplicating identical
-            circuits within the batch. Requires ``sim_cache``;
-            bit-identical to sequential evaluation, on by default
+            circuits within the batch. Bit-identical to sequential
+            evaluation, on by default
             (``--no-batched-sim`` for A/B runs).
         clifford_fast_path: Route circuits that are gate-wise Clifford
             through the stabilizer tableau simulator with a
@@ -162,6 +147,17 @@ class RigettiAspenDevice:
             any gate is non-Clifford. Exact when the noise budget is
             zero; approximate otherwise — off by default because it can
             change counts (``--clifford-fast-path`` opts in).
+
+    Every job simulates through one pipeline. The
+    :class:`~repro.sim.channel_cache.ChannelCache` fuses each gate's
+    ideal unitary and its whole noise tail into one memoized
+    superoperator; :class:`~repro.sim.sim_cache.SimulationCache` lowers
+    the circuit into a layer-fused stream, replays shared prefixes from
+    state snapshots and memoizes exact distributions. Both caches are
+    keyed on the current noise-parameter values and flushed whenever
+    :meth:`advance_time` drifts them (tracked by :attr:`drift_epoch`),
+    so they are exact. :meth:`reference_distribution` is the per-Kraus
+    oracle the pipeline is tested against.
     """
 
     def __init__(
@@ -173,8 +169,6 @@ class RigettiAspenDevice:
         seed: int = 0,
         idle_noise: bool = False,
         crosstalk_zz: float = 0.0,
-        channel_cache: bool = True,
-        sim_cache: bool = True,
         batched_sim: bool = True,
         clifford_fast_path: bool = False,
     ) -> None:
@@ -197,12 +191,8 @@ class RigettiAspenDevice:
         #: Counts how many times drift has moved the noise parameters;
         #: the channel cache is valid only within one epoch.
         self.drift_epoch = 0
-        self.channel_cache: Optional[ChannelCache] = (
-            ChannelCache() if channel_cache else None
-        )
-        self.sim_cache: Optional[SimulationCache] = (
-            SimulationCache() if (sim_cache and channel_cache) else None
-        )
+        self.channel_cache = ChannelCache()
+        self.sim_cache = SimulationCache()
         self.batched_sim = bool(batched_sim)
         self.clifford_fast_path = bool(clifford_fast_path)
         #: Distributions served by the stabilizer fast path (memo
@@ -259,8 +249,8 @@ class RigettiAspenDevice:
         """Advance the wall clock, drifting every noise parameter.
 
         Every nonzero advance bumps :attr:`drift_epoch` and invalidates
-        the channel cache: the cached operators encode the pre-drift
-        parameter values and must be rebuilt from the new ones.
+        both caches: the cached operators and distributions encode the
+        pre-drift parameter values and must be rebuilt from the new ones.
         """
         if dt_us < 0:
             raise DeviceError("cannot advance time backwards")
@@ -274,10 +264,8 @@ class RigettiAspenDevice:
             for value in params.drifting_values():
                 value.advance(dt_us, self._drift_rng)
         self.drift_epoch += 1
-        if self.channel_cache is not None:
-            self.channel_cache.invalidate(self.drift_epoch)
-        if self.sim_cache is not None:
-            self.sim_cache.invalidate(self.drift_epoch)
+        self.channel_cache.invalidate(self.drift_epoch)
+        self.sim_cache.invalidate(self.drift_epoch)
         self._clifford_memo.clear()
 
     # ------------------------------------------------------------------
@@ -364,20 +352,15 @@ class RigettiAspenDevice:
         same configuration and warms its own.
         """
         state = dict(self.__dict__)
-        cache = state["channel_cache"]
-        if cache is not None:
-            fresh = ChannelCache(cache._max_entries)
-            fresh.epoch = self.drift_epoch
-            state["channel_cache"] = fresh
-        sim = state["sim_cache"]
-        if sim is not None:
-            fresh_sim = SimulationCache(
-                prefix_bytes=sim.prefix.max_bytes,
-                max_distributions=sim.max_distributions,
-                max_lowered=sim.max_lowered,
-            )
-            fresh_sim.epoch = self.drift_epoch
-            state["sim_cache"] = fresh_sim
+        fresh = ChannelCache(self.channel_cache._max_entries)
+        fresh.epoch = self.drift_epoch
+        state["channel_cache"] = fresh
+        fresh_sim = SimulationCache(
+            prefix_bytes=self.sim_cache.prefix.max_bytes,
+            max_distributions=self.sim_cache.max_distributions,
+        )
+        fresh_sim.epoch = self.drift_epoch
+        state["sim_cache"] = fresh_sim
         state["_clifford_memo"] = {}
         state["shared_executor"] = None
         return state
@@ -436,7 +419,7 @@ class RigettiAspenDevice:
             raise DeviceError("shots must be positive")
         self._validate(circuit)
         used = self._used_qubits(circuit)
-        compact, local_of = self._compact_circuit(circuit, used)
+        compact, _ = self._compact_circuit(circuit, used)
         if self.idle_noise:
             compact, circuit_us = self._with_idle_markers(circuit, compact)
         else:
@@ -447,26 +430,8 @@ class RigettiAspenDevice:
             if seed is not None
             else self._sample_rng
         )
-        if self.sim_cache is not None:
-            # Cached pipeline: exact distribution through the hierarchy
-            # (lowering + prefix replay + distribution memo), then draw
-            # shots. sample_distribution matches simulator.sample's
-            # sampling semantics exactly (sorted keys, normalized
-            # probabilities, one rng.choice), so the two paths consume
-            # the rng stream identically.
-            distribution = self._exact_distribution(compact, used)
-            counts = sample_distribution(distribution, shots, rng)
-        else:
-            simulator = DensityMatrixSimulator(
-                self._noise_callback_factory(used),
-                operation_compiler=self._operation_compiler_factory(used),
-            )
-            readout = [
-                self.qubit_params[phys].readout_error() for phys in used
-            ]
-            counts = simulator.sample(
-                compact, shots, rng, readout_errors=readout
-            )
+        distribution = self._exact_distribution(compact, used)
+        counts = sample_distribution(distribution, shots, rng)
         self._account(circuit, shots, circuit_us, seed, job_id, tag, used)
         return counts
 
@@ -602,15 +567,13 @@ class RigettiAspenDevice:
         return marked, total_ns / _NS_PER_US
 
     def _cached(self, key, factory):
-        """Memoize a channel construction if the cache is enabled.
+        """Memoize a channel construction in the channel cache.
 
         Keys embed the drifting parameter *values* they were built from,
         so a hit is bit-identical to a fresh construction by design; the
         epoch invalidation in :meth:`advance_time` merely keeps the
         table from accumulating dead pre-drift entries.
         """
-        if self.channel_cache is None:
-            return factory()
         return self.channel_cache.get(key, factory)
 
     def _noise_callback_factory(self, used: List[int]):
@@ -636,11 +599,8 @@ class RigettiAspenDevice:
         Each instruction's ideal unitary and full noise tail (coherent
         error, depolarizing, both qubits' relaxation) collapse into a
         single superoperator, memoized per (gate, physical placement)
-        until drift invalidates it. Returns ``None`` when the cache is
-        disabled, falling back to the per-Kraus reference path.
+        until drift invalidates it.
         """
-        if self.channel_cache is None:
-            return None
         cache = self.channel_cache
         phys_of = dict(enumerate(used))
 
@@ -677,7 +637,7 @@ class RigettiAspenDevice:
                         self._crosstalk_superops(gate, phys_of)
                     )
                 return tuple(operations)
-            return None  # unknown arity: reference path decides
+            return None  # unknown arity: the noise hook decides
 
         return compiler
 
@@ -896,6 +856,17 @@ class RigettiAspenDevice:
             (superop, pair) for pair in self._crosstalk_pairs(gate, phys_of)
         ]
 
+    def _prepared(
+        self, circuit: QuantumCircuit
+    ) -> Tuple[QuantumCircuit, List[int]]:
+        """Validate, compact onto the used qubits, add idle markers."""
+        self._validate(circuit)
+        used = self._used_qubits(circuit)
+        compact, _ = self._compact_circuit(circuit, used)
+        if self.idle_noise:
+            compact, _ = self._with_idle_markers(circuit, compact)
+        return compact, used
+
     def noisy_distribution(self, circuit: QuantumCircuit) -> Dict[str, float]:
         """Oracle: the exact noisy output distribution, right now.
 
@@ -904,12 +875,27 @@ class RigettiAspenDevice:
         view used by characterization studies to separate physics from
         shot noise. Real users of the device cannot call this.
         """
-        self._validate(circuit)
-        used = self._used_qubits(circuit)
-        compact, _ = self._compact_circuit(circuit, used)
-        if self.idle_noise:
-            compact, _ = self._with_idle_markers(circuit, compact)
+        compact, used = self._prepared(circuit)
         return self._exact_distribution(compact, used)
+
+    def reference_distribution(
+        self, circuit: QuantumCircuit
+    ) -> Dict[str, float]:
+        """Test oracle: the exact noisy distribution, one Kraus channel
+        at a time.
+
+        Runs the per-Kraus noise hook through a plain
+        :class:`~repro.sim.density_matrix.DensityMatrixSimulator`: no
+        fused superoperators, no lowering, no memo and no Clifford fast
+        path. It matches :meth:`noisy_distribution` to floating-point
+        association (~1e-15), which is what the tests and benchmarks
+        that call it check. No product path calls it; it is slow on
+        purpose.
+        """
+        compact, used = self._prepared(circuit)
+        readout = [self.qubit_params[phys].readout_error() for phys in used]
+        simulator = DensityMatrixSimulator(self._noise_callback_factory(used))
+        return simulator.distribution(compact, readout_errors=readout)
 
     def noisy_distribution_batch(
         self, circuits: Sequence[QuantumCircuit]
@@ -925,20 +911,15 @@ class RigettiAspenDevice:
         — in-batch dedup, then stacked candidate-axis contraction of
         shared suffixes. Results are bit-identical to calling
         :meth:`noisy_distribution` per circuit (the engine's contract);
-        with ``batched_sim`` disabled or no sim cache, that is
-        literally what happens.
+        with ``batched_sim`` disabled, that is literally what happens.
         """
-        if not self.batched_sim or self.sim_cache is None or len(circuits) < 2:
+        if not self.batched_sim or len(circuits) < 2:
             return [self.noisy_distribution(c) for c in circuits]
         results: List[Optional[Dict[str, float]]] = [None] * len(circuits)
         groups: Dict[Tuple[int, ...], List[int]] = {}
         compacts: List[Optional[QuantumCircuit]] = [None] * len(circuits)
         for index, circuit in enumerate(circuits):
-            self._validate(circuit)
-            used = self._used_qubits(circuit)
-            compact, _ = self._compact_circuit(circuit, used)
-            if self.idle_noise:
-                compact, _ = self._with_idle_markers(circuit, compact)
+            compact, used = self._prepared(circuit)
             fast = self._clifford_distribution(compact, used)
             if fast is not None:
                 results[index] = fast
@@ -966,7 +947,7 @@ class RigettiAspenDevice:
         self, compact: QuantumCircuit, used: List[int]
     ) -> Dict[str, float]:
         """Exact noisy distribution of a compacted circuit, at current
-        parameter values — through the simulation cache when enabled.
+        parameter values — through the simulation cache.
 
         The physical placement (``used``) is part of every cache key:
         equal compact circuits on different physical qubits see
@@ -976,19 +957,13 @@ class RigettiAspenDevice:
         if fast is not None:
             return fast
         readout = [self.qubit_params[phys].readout_error() for phys in used]
-        if self.sim_cache is not None:
-            return self.sim_cache.distribution(
-                compact,
-                readout,
-                operation_compiler=self._operation_compiler_factory(used),
-                noise_callback=self._noise_callback_factory(used),
-                placement=tuple(used),
-            )
-        simulator = DensityMatrixSimulator(
-            self._noise_callback_factory(used),
+        return self.sim_cache.distribution(
+            compact,
+            readout,
             operation_compiler=self._operation_compiler_factory(used),
+            noise_callback=self._noise_callback_factory(used),
+            placement=tuple(used),
         )
-        return simulator.distribution(compact, readout_errors=readout)
 
     # ------------------------------------------------------------------
     # Clifford stabilizer fast path

@@ -190,8 +190,6 @@ def build_device(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    channel_cache: bool = True,
-    sim_cache: bool = True,
     batched_sim: bool = True,
     clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
@@ -200,7 +198,9 @@ def build_device(
     The same seed always yields the same device (parameters, missing
     gates, and future drift trajectory). *idle_noise* additionally
     charges T1/T2 decay to idle qubits per moment (extension; off by
-    default to keep the paper-calibrated phenomenology unchanged).
+    default to keep the paper-calibrated phenomenology unchanged). The
+    device simulates every job through its channel and simulation
+    caches; its ``reference_distribution`` is the per-Kraus test oracle.
     """
     rng = np.random.default_rng(seed)
     qubit_params = {q: _sample_qubit(rng, profile) for q in topology.qubits}
@@ -224,8 +224,6 @@ def build_device(
         seed=seed + 1,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        channel_cache=channel_cache,
-        sim_cache=sim_cache,
         batched_sim=batched_sim,
         clifford_fast_path=clifford_fast_path,
     )
@@ -236,7 +234,6 @@ def aspen11(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    sim_cache: bool = True,
     batched_sim: bool = True,
     clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
@@ -257,7 +254,6 @@ def aspen11(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        sim_cache=sim_cache,
         batched_sim=batched_sim,
         clifford_fast_path=clifford_fast_path,
     )
@@ -268,7 +264,6 @@ def aspen_m1(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    sim_cache: bool = True,
     batched_sim: bool = True,
     clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
@@ -289,7 +284,6 @@ def aspen_m1(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        sim_cache=sim_cache,
         batched_sim=batched_sim,
         clifford_fast_path=clifford_fast_path,
     )
@@ -299,8 +293,6 @@ def small_test_device(
     num_qubits: int = 5,
     seed: int = 7,
     profile: NoiseProfile = DEFAULT_PROFILE,
-    channel_cache: bool = True,
-    sim_cache: bool = True,
     batched_sim: bool = True,
     clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
@@ -316,8 +308,6 @@ def small_test_device(
         linear_topology(num_qubits, name=f"line-{num_qubits}"),
         seed=seed,
         profile=forced,
-        channel_cache=channel_cache,
-        sim_cache=sim_cache,
         batched_sim=batched_sim,
         clifford_fast_path=clifford_fast_path,
     )

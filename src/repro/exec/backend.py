@@ -115,15 +115,8 @@ class LocalBackend:
         """(channel hits, channel misses, dist hits, prefix hits) — the
         per-job cache attribution sampled around a traced submission."""
         cache = self.device.channel_cache
-        hits = misses = dist_hits = prefix_hits = 0
-        if cache is not None:
-            hits, misses = cache.hits, cache.misses
-        sim = getattr(self.device, "sim_cache", None)
-        if sim is not None:
-            stats = sim.stats()
-            dist_hits = stats.get("dist_hits", 0)
-            prefix_hits = stats.get("prefix_hits", 0)
-        return (hits, misses, dist_hits, prefix_hits)
+        sim = self.device.sim_cache
+        return (cache.hits, cache.misses, sim.dist_hits, sim.prefix.hits)
 
     def submit_batch(
         self, jobs: Sequence[Job], parallel: bool = False
@@ -215,23 +208,11 @@ class LocalBackend:
 
         Channel-cache keys are unprefixed (``hits``/``misses``/...);
         simulation-cache keys carry their level's prefix
-        (``dist_*``/``prefix_*``/``lower_*``) so the executor can diff
-        each level independently.
+        (``dist_*``/``prefix_*``) so the executor can diff each level
+        independently.
         """
-        cache = self.device.channel_cache
-        if cache is None:
-            stats = {
-                "hits": 0,
-                "misses": 0,
-                "entries": 0,
-                "evictions": 0,
-                "invalidations": 0,
-            }
-        else:
-            stats = cache.stats()
-        sim = getattr(self.device, "sim_cache", None)
-        if sim is not None:
-            stats.update(sim.stats())
+        stats = self.device.channel_cache.stats()
+        stats.update(self.device.sim_cache.stats())
         stats["clifford_fast_hits"] = getattr(
             self.device, "clifford_fast_hits", 0
         )

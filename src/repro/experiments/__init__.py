@@ -41,7 +41,7 @@ from .motivation import (
     fig9_program_specific_optimum,
 )
 from .reporting import ExperimentResult, ascii_bars, format_table
-from .runner import EXPERIMENTS, run_experiment
+from .registry import EXPERIMENTS, run_experiment
 
 __all__ = [
     "ExperimentContext",

@@ -70,7 +70,6 @@ class _Recipe:
     profile_key: str
     idle_noise: bool
     crosstalk_zz: float
-    sim_cache: bool
     batched_sim: bool
     clifford_fast_path: bool
     profile: NoiseProfile = field(compare=False, repr=False)
@@ -85,7 +84,6 @@ def _build_recipe(
         profile=recipe.profile,
         idle_noise=recipe.idle_noise,
         crosstalk_zz=recipe.crosstalk_zz,
-        sim_cache=recipe.sim_cache,
         batched_sim=recipe.batched_sim,
         clifford_fast_path=recipe.clifford_fast_path,
     )
@@ -221,7 +219,6 @@ class ExperimentContext:
         fault_profile: object = "none",
         fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        sim_cache: bool = True,
         batched_sim: bool = True,
         clifford_fast_path: bool = False,
         parallel: bool = False,
@@ -256,9 +253,6 @@ class ExperimentContext:
                 only meaningful with ``backend="remote"``.
             fault_seed: Seed for fault injection and backoff jitter.
             retry_policy: Remote-client resilience tunables.
-            sim_cache: Enable the device's simulation cache hierarchy
-                (prefix-state + distribution memoization); disable for
-                A/B runs against the uncached simulation path.
             batched_sim: Stack candidate batches into shared-suffix
                 contractions (the batched engine); disable for A/B runs
                 against the one-at-a-time path.
@@ -303,7 +297,6 @@ class ExperimentContext:
             profile_key=repr(profile),
             idle_noise=idle_noise,
             crosstalk_zz=crosstalk_zz,
-            sim_cache=sim_cache,
             batched_sim=batched_sim,
             clifford_fast_path=clifford_fast_path,
             profile=profile,

@@ -1,4 +1,4 @@
-"""Experiment registry and command-line entry point.
+"""Command-line entry point for the experiment registry.
 
 Every paper artifact maps to a callable; ``python -m
 repro.experiments.runner fig18`` regenerates it from scratch. The
@@ -8,108 +8,16 @@ reduced budgets.
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import Callable, Dict, Optional
+from typing import Optional
 
+from ..cli import add_engine_arguments, engine_options
 from ..exceptions import ReproError
-from .ablation import (
-    ablation_link_order,
-    ablation_non_clifford_budget,
-    ablation_probe_shots,
-    fig20_reference_ablation,
-)
-from .characterization import (
-    fig5_state_dependence,
-    fig6_all_links,
-    fig7_calibration_cycles,
-)
 from .context import ExperimentContext
-from .copycat_quality import fig12_replacement_choice, fig19_copycat_correlation
-from .device_report import fig17_device_map
-from .extensions import extension_cdr_composition, extension_multi_pass
-from .drift_study import (
-    fig8_stale_calibration,
-    fig21_repeated_executions,
-    fig22_best_sequence_stability,
-)
-from .fleet_transfer import fleet_transfer_study
-from .main_eval import (
-    fig18_main_evaluation,
-    fig18_multi_seed,
-    table1_suite,
-    table2_copycat_counts,
-)
-from .motivation import (
-    fig1c_microbenchmark,
-    fig3_ghz5_sweep,
-    fig9_program_specific_optimum,
-)
-from .reporting import ExperimentResult
+from .registry import EXPERIMENTS, run_experiment
 
 __all__ = ["EXPERIMENTS", "run_experiment", "main"]
-
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig1c": fig1c_microbenchmark,
-    "fig3": fig3_ghz5_sweep,
-    "fig5": fig5_state_dependence,
-    "fig6": fig6_all_links,
-    "fig7": fig7_calibration_cycles,
-    "fig8": fig8_stale_calibration,
-    "fig9": fig9_program_specific_optimum,
-    "fig12": fig12_replacement_choice,
-    "fig17": fig17_device_map,
-    "fig18": fig18_main_evaluation,
-    "fig19": fig19_copycat_correlation,
-    "fig20": fig20_reference_ablation,
-    "fig21": fig21_repeated_executions,
-    "fig22": fig22_best_sequence_stability,
-    "table1": table1_suite,
-    "table2": table2_copycat_counts,
-    "ablation_budget": ablation_non_clifford_budget,
-    "ablation_shots": ablation_probe_shots,
-    "ablation_order": ablation_link_order,
-    "extension_cdr": extension_cdr_composition,
-    "extension_passes": extension_multi_pass,
-    "fig18_multi": fig18_multi_seed,
-    "fleet_transfer": fleet_transfer_study,
-}
-
-
-def run_experiment(
-    experiment_id: str,
-    context: Optional[ExperimentContext] = None,
-    **kwargs,
-) -> ExperimentResult:
-    """Run one registered experiment by its paper-artifact id."""
-    try:
-        runner = EXPERIMENTS[experiment_id]
-    except KeyError as exc:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ReproError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from exc
-    return runner(context=context, **kwargs)
-
-
-def _pop_option(argv: list, name: str, default: str) -> str:
-    """Extract ``--name value`` / ``--name=value`` from argv, in place."""
-    value = default
-    remaining = []
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg == name and index + 1 < len(argv):
-            value = argv[index + 1]
-            index += 2
-            continue
-        if arg.startswith(name + "="):
-            value = arg.split("=", 1)[1]
-            index += 1
-            continue
-        remaining.append(arg)
-        index += 1
-    argv[:] = remaining
-    return value
 
 
 def _replay_tenants(
@@ -189,112 +97,94 @@ def _replay_tenants(
     return 0
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.runner",
+        description="Regenerate paper artifacts by experiment id.",
+        epilog="known experiments: " + ", ".join(sorted(EXPERIMENTS)),
+    )
+    parser.add_argument("ids", nargs="*", metavar="experiment-id")
+    parser.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each experiment's execution-service statistics",
+    )
+    add_engine_arguments(parser)
+    parser.add_argument(
+        "--tenants",
+        type=int,
+        metavar="N",
+        help="replay the Table I mix through the compile service with N "
+        "tenants instead of running experiments",
+    )
+    parser.add_argument(
+        "--fleet",
+        type=int,
+        default=0,
+        metavar="M",
+        help="with --tenants: route across M drifting replicas",
+    )
+    return parser
+
+
 def main(argv: Optional[list] = None) -> int:
-    """CLI: ``python -m repro.experiments.runner [--stats]
-    [--backend local|remote] [--fault-profile NAME] [--parallel]
-    [--trace FILE] [--tenants N] <id>...``.
+    """CLI: ``python -m repro.experiments.runner [options] <id>...``.
 
     With ``--trace`` every experiment's spans go to the one file, in
     run order."""
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    show_stats = "--stats" in argv
-    argv = [arg for arg in argv if arg != "--stats"]
-    no_sim_cache = "--no-sim-cache" in argv
-    argv = [arg for arg in argv if arg != "--no-sim-cache"]
-    no_batched_sim = "--no-batched-sim" in argv
-    argv = [arg for arg in argv if arg != "--no-batched-sim"]
-    clifford_fast_path = "--clifford-fast-path" in argv
-    argv = [arg for arg in argv if arg != "--clifford-fast-path"]
-    if "--no-clifford-fast-path" in argv:
-        clifford_fast_path = False
-        argv = [arg for arg in argv if arg != "--no-clifford-fast-path"]
-    parallel = "--parallel" in argv
-    argv = [arg for arg in argv if arg != "--parallel"]
-    show_metrics = "--metrics" in argv
-    argv = [arg for arg in argv if arg != "--metrics"]
-    trace_raw = _pop_option(argv, "--trace", "")
-    trace = trace_raw or None
-    backend = _pop_option(argv, "--backend", "local")
-    fault_profile = _pop_option(argv, "--fault-profile", "none")
-    fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
-    opt_level = int(_pop_option(argv, "--opt-level", "0"))
-    if "--no-opt-passes" in argv:
-        opt_level = 0
-        argv = [arg for arg in argv if arg != "--no-opt-passes"]
-    fleet_raw = _pop_option(argv, "--fleet", "")
-    tenants_raw = _pop_option(argv, "--tenants", "")
-    if tenants_raw:
+    parser = build_parser()
+    args = parser.parse_intermixed_args(argv)
+    if args.tenants is not None:
         return _replay_tenants(
-            int(tenants_raw),
-            backend,
-            fault_profile,
-            fault_seed,
-            fleet=int(fleet_raw) if fleet_raw else 0,
+            args.tenants,
+            args.backend,
+            args.fault_profile,
+            args.fault_seed,
+            fleet=args.fleet,
         )
-    if not argv or argv[0] in ("-h", "--help"):
-        print(
-            "usage: python -m repro.experiments.runner [--stats] "
-            "[--backend local|remote] [--fault-profile NAME] "
-            "[--fault-seed N] [--no-sim-cache] [--no-batched-sim] "
-            "[--clifford-fast-path] [--no-clifford-fast-path] "
-            "[--parallel] [--opt-level {0,1,2}] "
-            "[--no-opt-passes] [--trace FILE] [--metrics] "
-            "[--tenants N [--fleet M]] <experiment-id>..."
-        )
-        print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
+    if not args.ids:
+        parser.print_help()
         return 0
-    needs_context = (
-        show_stats
-        or backend != "local"
-        or no_sim_cache
-        or no_batched_sim
-        or clifford_fast_path
-        or parallel
-        or show_metrics
-        or trace is not None
-        or opt_level != 0
+    unknown = [i for i in args.ids if i not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    options = engine_options(args)
+    # Experiments build their own default context unless a flag
+    # changes it.
+    needs_context = args.stats or options != engine_options(
+        parser.parse_args([])
     )
     # One trace file for the whole run: every context appends to it.
-    trace_file = open(trace, "w", encoding="utf-8") if trace else None
+    trace_file = (
+        open(args.trace, "w", encoding="utf-8") if args.trace else None
+    )
+    options["trace"] = trace_file
     try:
-        for experiment_id in argv:
+        for experiment_id in args.ids:
             # Each experiment gets a fresh context (a fresh chip-day) so
             # the per-experiment executor ledger is attributable to it
             # alone.
             context = (
-                ExperimentContext.create(
-                    backend=backend,
-                    fault_profile=fault_profile,
-                    fault_seed=fault_seed,
-                    sim_cache=not no_sim_cache,
-                    batched_sim=not no_batched_sim,
-                    clifford_fast_path=clifford_fast_path,
-                    parallel=parallel,
-                    trace=trace_file,
-                    metrics=show_metrics,
-                    optimization_level=opt_level,
-                )
-                if needs_context
-                else None
+                ExperimentContext.create(**options) if needs_context else None
             )
             try:
                 result = run_experiment(experiment_id, context=context)
                 print(result.to_text())
-                if context is not None and show_stats:
+                if context is not None and args.stats:
                     print("--- execution-service stats ---")
                     print(context.executor.stats.to_text())
             finally:
                 if context is not None:
                     context.close()
-            if show_metrics and context is not None:
+            if args.metrics and context is not None:
                 print("--- metrics ---")
                 print(context.metrics_registry.to_text())
             print()
     finally:
         if trace_file is not None:
             trace_file.close()
-    if trace is not None:
-        print(f"trace written to {trace}")
+    if args.trace is not None:
+        print(f"trace written to {args.trace}")
     return 0
 
 

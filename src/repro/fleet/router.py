@@ -13,9 +13,8 @@ ledger):
   the noise-adaptive reference sequence is better informed);
 * **prefix-cache affinity** — overlap between the request's
   ``instruction_hash_chain`` prefix and the chains recently routed to
-  the replica: co-locating same-prefix requests keeps
-  lowering/prefix-state caches warm and makes the replica's dedup
-  partition actually hit.
+  the replica: co-locating same-prefix requests keeps prefix-state
+  caches warm and makes the replica's dedup partition actually hit.
 
 Two forms of stickiness sit above the score: a request already bound
 stays bound (its device-clock trajectory must stay coherent), and a

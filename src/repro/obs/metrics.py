@@ -169,7 +169,6 @@ _GAUGE_KEYS = frozenset(
         "prefix_bytes",
         "sim_prefix_bytes",
         "dist_entries",
-        "lower_entries",
         "epoch",
     }
 )

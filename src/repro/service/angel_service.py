@@ -294,11 +294,8 @@ class _Request:
                     self.binding.wrap_backend(backend),
                     mode=self.executor.mode,
                 )
-            self.deduped = (
+            if store is not None:
                 store.attach(self.context.device)
-                if store is not None
-                else False
-            )
             circuit = get_benchmark(spec.program).build()
             self.angel = Angel(
                 self.context.device,
@@ -362,8 +359,7 @@ class _Request:
 
     @property
     def dedup_hits(self) -> int:
-        cache = getattr(self.context.device, "sim_cache", None)
-        return cache.shared_hits if cache is not None else 0
+        return self.context.device.sim_cache.shared_hits
 
     @property
     def probes_run(self) -> int:

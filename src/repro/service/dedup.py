@@ -80,18 +80,11 @@ class ProbeDistributionStore:
             self._entries[key] = dict(distribution)
             self.publishes += 1
 
-    def attach(self, device: "RigettiAspenDevice") -> bool:
-        """Wire a device's simulation cache through this store.
-
-        Returns whether the device could participate (it needs the
-        simulation cache enabled — without it there is no exact
-        distribution to share).
-        """
-        cache = getattr(device, "sim_cache", None)
-        if cache is None:
-            return False
-        cache.attach_shared_store(self, device.parameter_fingerprint)
-        return True
+    def attach(self, device: "RigettiAspenDevice") -> None:
+        """Wire a device's simulation cache through this store."""
+        device.sim_cache.attach_shared_store(
+            self, device.parameter_fingerprint
+        )
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -2,8 +2,16 @@
 
 * :class:`~repro.sim.statevector.StatevectorSimulator` — exact noise-free
   reference (the ``P`` of the Success-Rate metric).
-* :class:`~repro.sim.density_matrix.DensityMatrixSimulator` — open-system
-  simulator driving the simulated Rigetti device.
+* :class:`~repro.sim.density_matrix.DensityMatrix` — the open-system
+  state the simulated Rigetti device evolves. Every device job goes
+  through one pipeline: :class:`~repro.sim.channel_cache.ChannelCache`
+  (fused per-gate superoperators), then
+  :class:`~repro.sim.circuit_compiler.CircuitCompiler` lowering with
+  layer fusion, then :class:`~repro.sim.sim_cache.SimulationCache`
+  (prefix-state snapshots and a distribution memo).
+* :class:`~repro.sim.density_matrix.DensityMatrixSimulator` — the
+  per-Kraus simulator behind the device's test oracle
+  (``RigettiAspenDevice.reference_distribution``).
 * :class:`~repro.sim.stabilizer.StabilizerSimulator` — poly-time Clifford
   simulation (CHP tableau) for CopyCat ideal outputs.
 * :mod:`~repro.sim.channels` / :mod:`~repro.sim.noise_model` — Kraus noise

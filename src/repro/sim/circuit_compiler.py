@@ -24,7 +24,7 @@ candidates are content-addressed, not label-addressed.
 
 Fusion is exact up to floating-point association: the fused
 superoperator is the matrix product of its parts, so distributions
-agree with the unfused stream to ~1e-15 (pinned by
+agree with the device's per-Kraus oracle to ~1e-15 (pinned by
 ``tests/test_sim_cache.py``); shot counts agree exactly in practice
 because sampling boundaries are never within that slack.
 """
@@ -144,8 +144,6 @@ class CircuitCompiler:
         noise_callback: Fallback noise hook for instructions the
             operation compiler declines; channels it returns are
             vectorized into superoperators.
-        fuse: Enable layer fusion (on by default; off lowers one
-            operator per instruction part, for A/B testing).
         hash_seed: Extra context mixed into the prefix hash chain —
             the device passes the physical qubit placement here so
             identical compact circuits on different physical qubits
@@ -156,19 +154,17 @@ class CircuitCompiler:
         self,
         operation_compiler: Optional[Callable] = None,
         noise_callback: Optional[Callable] = None,
-        fuse: bool = True,
         hash_seed: Tuple = (),
     ) -> None:
         self.operation_compiler = operation_compiler
         self.noise_callback = noise_callback
-        self.fuse = fuse
         self.hash_seed = tuple(hash_seed)
 
     # ------------------------------------------------------------------
     def lower(self, circuit: QuantumCircuit) -> LoweredCircuit:
         """Flatten *circuit* into a fused, fingerprinted operator stream."""
         raw = self._raw_stream(circuit)
-        operations = self._fused(raw) if self.fuse else raw
+        operations = self._fused(raw)
         hashes = self._hash_chain(circuit.num_qubits, operations)
         return LoweredCircuit(
             num_qubits=circuit.num_qubits,

@@ -4,15 +4,17 @@ ANGEL's localized search submits ``1 + 2L`` CopyCat probes per pass;
 mass-replacement candidates differ from the baseline only at one link's
 sites, and probes batched inside a single calibration window run under
 identical noise parameters. Re-evolving every probe from ``|0..0>`` is
-therefore mostly redundant work. This module stacks three memoization
-levels above the per-gate :class:`~repro.sim.channel_cache.ChannelCache`,
-all invalidated together when the device's ``drift_epoch`` bumps so no
-entry ever outlives the noise parameters it encodes:
+therefore mostly redundant work. This module builds one pipeline above
+the per-gate :class:`~repro.sim.channel_cache.ChannelCache`, with two
+memoization levels invalidated together when the device's
+``drift_epoch`` bumps so no entry ever outlives the noise parameters it
+encodes:
 
-1. **Lowering + layer fusion** — circuits are flattened once per content
-   fingerprint into fused superoperator streams by
+1. **Lowering + layer fusion** — each simulated circuit is flattened
+   into a fused superoperator stream by
    :class:`~repro.sim.circuit_compiler.CircuitCompiler`, cutting the
-   ``O(4^n)`` contraction count before any state work happens.
+   ``O(4^n)`` contraction count before any state work happens. Lowering
+   runs only after a distribution-memo miss, so it is not memoized.
 2. **Prefix-state memoization** — :class:`PrefixStateCache` snapshots
    the density matrix at checkpoints along the lowered stream, keyed by
    the rolling hash of operator fingerprints, so probe candidates
@@ -27,9 +29,11 @@ entry ever outlives the noise parameters it encodes:
 Hits at every level are *exact* replays of previously computed arrays,
 so cached results are bit-identical to the first computation within an
 epoch. Layer fusion itself reassociates floating-point products
-(~1e-15 relative slack versus the unfused stream); the A/B contract
-against the fully uncached path is pinned in ``tests/test_sim_cache.py``
-and ``benchmarks/bench_sim_cache.py``.
+(~1e-15 relative slack versus the unfused stream); the contract against
+the per-Kraus oracle
+(:meth:`~repro.device.device.RigettiAspenDevice.reference_distribution`)
+is pinned in ``tests/test_sim_cache.py`` and
+``benchmarks/bench_sim_cache.py``.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = ["PrefixStateCache", "SimulationCache"]
 # 128 MB default: ~8000 five-qubit snapshots, ~8 ten-qubit ones.
 _DEFAULT_PREFIX_BYTES = 128 * 1024 * 1024
 _DEFAULT_MAX_DISTRIBUTIONS = 4096
-_DEFAULT_MAX_LOWERED = 1024
 # One circuit's checkpoints may claim at most this fraction of the
 # byte budget, so a deep circuit cannot flush the whole cache.
 _CHECKPOINT_BUDGET_FRACTION = 8
@@ -138,7 +141,7 @@ class PrefixStateCache:
 
 
 class SimulationCache:
-    """The three-level hierarchy, owned by a device.
+    """The lowering pipeline and its memo levels, owned by a device.
 
     All levels are flushed together by :meth:`invalidate` when the
     device's ``drift_epoch`` bumps, mirroring the ChannelCache contract:
@@ -148,22 +151,18 @@ class SimulationCache:
     Args:
         prefix_bytes: Byte budget for prefix snapshots.
         max_distributions: Entry cap for memoized distributions (LRU).
-        max_lowered: Entry cap for lowered circuits (LRU).
     """
 
     def __init__(
         self,
         prefix_bytes: int = _DEFAULT_PREFIX_BYTES,
         max_distributions: int = _DEFAULT_MAX_DISTRIBUTIONS,
-        max_lowered: int = _DEFAULT_MAX_LOWERED,
     ) -> None:
         self.prefix = PrefixStateCache(prefix_bytes)
         self.max_distributions = int(max_distributions)
-        self.max_lowered = int(max_lowered)
         self._distributions: "OrderedDict[Tuple, Dict[str, float]]" = (
             OrderedDict()
         )
-        self._lowered: "OrderedDict[Tuple, LoweredCircuit]" = OrderedDict()
         self.epoch = 0
         self.dist_hits = 0
         self.dist_misses = 0
@@ -173,8 +172,6 @@ class SimulationCache:
         self._shared_key: Optional[Callable[[], object]] = None
         self.shared_hits = 0
         self.shared_publishes = 0
-        self.lower_hits = 0
-        self.lower_misses = 0
         self.ops_replayed = 0
         self.ops_skipped = 0
         self.invalidations = 0
@@ -189,7 +186,6 @@ class SimulationCache:
     def invalidate(self, epoch: int) -> None:
         """Flush every level; entries never outlive their noise epoch."""
         self._distributions.clear()
-        self._lowered.clear()
         self.prefix.invalidate()
         self.epoch = epoch
         self.invalidations += 1
@@ -245,8 +241,7 @@ class SimulationCache:
         if cached is not None:
             return cached
         lowered = self._lower(
-            circuit, fingerprint, operation_compiler, noise_callback,
-            placement,
+            circuit, operation_compiler, noise_callback, placement
         )
         state = self._evolve(lowered)
         result = self._finish(circuit, state, readout_errors)
@@ -298,10 +293,10 @@ class SimulationCache:
                 misses.append((key, indices))
         lowered = [
             self._lower(
-                circuits[indices[0]], key[0], operation_compiler,
-                noise_callback, placement,
+                circuits[indices[0]], operation_compiler, noise_callback,
+                placement,
             )
-            for key, indices in misses
+            for _, indices in misses
         ]
         for plan in plan_batches(lowered):
             if len(plan.indices) == 1:
@@ -383,29 +378,18 @@ class SimulationCache:
             if p > 1e-14
         }
 
+    @staticmethod
     def _lower(
-        self,
         circuit: QuantumCircuit,
-        fingerprint: Tuple,
         operation_compiler: Optional[Callable],
         noise_callback: Optional[Callable],
         placement: Tuple,
     ) -> LoweredCircuit:
-        """Level 1: memoized lowering + fusion, LRU by fingerprint."""
-        cached = self._lowered.get(fingerprint)
-        if cached is not None:
-            self._lowered.move_to_end(fingerprint)
-            self.lower_hits += 1
-            return cached
-        self.lower_misses += 1
+        """Level 1: lowering + layer fusion (see the module docstring)."""
         compiler = CircuitCompiler(
             operation_compiler, noise_callback, hash_seed=placement
         )
-        lowered = compiler.lower(circuit)
-        while len(self._lowered) >= self.max_lowered:
-            self._lowered.popitem(last=False)
-        self._lowered[fingerprint] = lowered
-        return lowered
+        return compiler.lower(circuit)
 
     def _evolve(self, lowered: LoweredCircuit) -> DensityMatrix:
         """Level 2: replay from the deepest cached prefix snapshot."""
@@ -532,8 +516,6 @@ class SimulationCache:
             "dist_misses": self.dist_misses,
             "dist_entries": len(self._distributions),
             "dist_evictions": self.dist_evictions,
-            "lower_hits": self.lower_hits,
-            "lower_misses": self.lower_misses,
             "ops_replayed": self.ops_replayed,
             "ops_skipped": self.ops_skipped,
             "dist_shared_hits": self.shared_hits,

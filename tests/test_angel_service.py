@@ -530,7 +530,7 @@ def test_executor_stats_surface_shared_and_coalesced():
         drift_hours=spec.drift_hours,
     )
     try:
-        assert store.attach(context.device)
+        store.attach(context.device)
         angel = Angel(
             context.device,
             context.calibration,

@@ -26,7 +26,6 @@ from repro.sim.channels import (
     depolarizing_channel,
     unitary_channel,
 )
-from repro.sim.circuit_compiler import circuit_fingerprint
 from repro.sim.density_matrix import DensityMatrix
 
 
@@ -128,7 +127,6 @@ class TestBatchPlanner:
             lowered.append(
                 cache._lower(
                     compact,
-                    (placement, circuit_fingerprint(compact)),
                     device._operation_compiler_factory(used),
                     device._noise_callback_factory(used),
                     placement,

@@ -115,11 +115,11 @@ class TestBitIdenticalChannels:
             assert np.array_equal(cached_op, fresh_op)
 
     def test_cached_distribution_matches_uncached(self):
-        cached_dev = small_test_device(4, seed=9, channel_cache=True)
-        plain_dev = small_test_device(4, seed=9, channel_cache=False)
+        cached_dev = small_test_device(4, seed=9)
+        plain_dev = small_test_device(4, seed=9)
         circuit = _ghz_native(cached_dev)
         dist_cached = cached_dev.noisy_distribution(circuit)
-        dist_plain = plain_dev.noisy_distribution(circuit)
+        dist_plain = plain_dev.reference_distribution(circuit)
         assert set(dist_cached) == set(dist_plain)
         for key in dist_plain:
             assert dist_cached[key] == pytest.approx(dist_plain[key], abs=1e-12)
@@ -157,11 +157,11 @@ class TestDriftInvalidation:
 
         If invalidation failed, the post-drift distribution would equal
         the pre-drift one (stale fused channels); instead it must match
-        an identically-drifted uncached device and differ from the
-        pre-drift result.
+        the oracle on an identically-drifted twin device and differ from
+        the pre-drift result.
         """
-        cached_dev = small_test_device(4, seed=9, channel_cache=True)
-        plain_dev = small_test_device(4, seed=9, channel_cache=False)
+        cached_dev = small_test_device(4, seed=9)
+        plain_dev = small_test_device(4, seed=9)
         circuit = _ghz_native(cached_dev)
 
         before = cached_dev.noisy_distribution(circuit)
@@ -169,7 +169,7 @@ class TestDriftInvalidation:
         cached_dev.advance_time(hours)
         plain_dev.advance_time(hours)
         after_cached = cached_dev.noisy_distribution(circuit)
-        after_plain = plain_dev.noisy_distribution(circuit)
+        after_plain = plain_dev.reference_distribution(circuit)
 
         for key in after_plain:
             assert after_cached[key] == pytest.approx(

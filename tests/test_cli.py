@@ -1,11 +1,18 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core import Angel, AngelConfig
 from repro.exec import BatchExecutor, Job
 from repro.experiments.context import ExperimentContext
+from repro.experiments.runner import main as runner_main
 from repro.programs import get_benchmark
 
 
@@ -243,3 +250,38 @@ class TestParallelFlag:
         assert "unrecognized arguments: --max-workers" in (
             capsys.readouterr().err
         )
+
+
+class TestExperimentsRunner:
+    """``python -m repro.experiments.runner`` parses its argv with
+    argparse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--no-sim-cache", "fig1c"], ["--max-workers", "4", "fig1c"]],
+        ids=["no_sim_cache", "max_workers"],
+    )
+    def test_unknown_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_module_run_imports_runner_once(self):
+        """Running the module must not find it already imported by the
+        package (``RuntimeWarning: ... found in sys.modules``)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.runner", "--help",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "known experiments:" in result.stdout
+        assert "fig1c" in result.stdout

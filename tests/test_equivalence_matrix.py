@@ -4,13 +4,14 @@ One parametrized matrix pins the repo's central execution contract: for
 snapshot (parallel-discipline) batches with per-job seeds, the counts a
 probe batch produces are **bit-identical** across
 
-  {simulation cache on, off} x {local backend, zero-fault remote}.
+  {local backend, zero-fault remote} x {batched engine on, off}
+  x {Clifford fast path on, off} and the per-Kraus oracle.
 
-All four combinations run the same seeded GHZ/QAOA probe batches on the
+Every combination runs the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
 across a mid-batch ``advance_time`` drift boundary applied identically
-to every combination. The cache-on local path is the reference;
-everything else must match it exactly — not statistically.
+to every combination. The local path with default engines is the
+reference; everything else must match it exactly — not statistically.
 """
 
 import pytest
@@ -29,18 +30,13 @@ from repro.service import (
     fault_profile,
 )
 
+from .oracle import reference_batch
+
 _HOUR_US = 3_600e6
 
 
-def _device(
-    sim_cache: bool, batched: bool = True, clifford: bool = False
-):
-    return aspen11(
-        seed=17,
-        sim_cache=sim_cache,
-        batched_sim=batched,
-        clifford_fast_path=clifford,
-    )
+def _device(batched: bool = True, clifford: bool = False):
+    return aspen11(seed=17, batched_sim=batched, clifford_fast_path=clifford)
 
 
 def _probe_jobs(device):
@@ -66,14 +62,13 @@ def _probe_jobs(device):
 
 
 def _run_combo(
-    sim_cache: bool,
     backend_kind: str,
     batched: bool = True,
     clifford: bool = False,
 ):
     """Counts from the two probe batches under one configuration, with
     an identical mid-batch drift boundary between them."""
-    device = _device(sim_cache, batched=batched, clifford=clifford)
+    device = _device(batched=batched, clifford=clifford)
     if backend_kind == "local":
         backend = LocalBackend(device)
     else:
@@ -101,13 +96,10 @@ def _run_combo(
     ]
 
 
+# The ids keep the ``cache_on`` label of the retired simulation-cache
+# axis, so the pinned combinations keep their test names.
 _MATRIX = [
-    pytest.param(
-        sim_cache,
-        backend_kind,
-        id=f"cache_{'on' if sim_cache else 'off'}-{backend_kind}",
-    )
-    for sim_cache in (True, False)
+    pytest.param(backend_kind, id=f"cache_on-{backend_kind}")
     for backend_kind in ("local", "remote")
 ]
 
@@ -116,62 +108,70 @@ _ENGINE_MATRIX = [
     pytest.param(
         batched,
         clifford,
-        sim_cache,
         id=f"batched_{'on' if batched else 'off'}-"
-        f"clifford_{'on' if clifford else 'off'}-"
-        f"cache_{'on' if sim_cache else 'off'}",
+        f"clifford_{'on' if clifford else 'off'}-cache_on",
     )
     for batched in (True, False)
     for clifford in (True, False)
-    for sim_cache in (True, False)
 ]
 
 
 @pytest.fixture(scope="module")
 def reference_counts():
-    """The cache-on, local-backend baseline."""
-    return _run_combo(sim_cache=True, backend_kind="local")
+    """The local-backend baseline."""
+    return _run_combo(backend_kind="local")
 
 
-@pytest.mark.parametrize("sim_cache,backend_kind", _MATRIX)
-def test_counts_bit_identical_across_matrix(
-    sim_cache, backend_kind, reference_counts
-):
-    counts = _run_combo(sim_cache, backend_kind)
+@pytest.mark.parametrize("backend_kind", _MATRIX)
+def test_counts_bit_identical_across_matrix(backend_kind, reference_counts):
+    counts = _run_combo(backend_kind)
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
-            f"{job_id}: counts diverged under sim_cache={sim_cache}, "
-            f"backend={backend_kind}"
+            f"{job_id}: counts diverged under backend={backend_kind}"
         )
 
 
-@pytest.mark.parametrize("batched,clifford,sim_cache", _ENGINE_MATRIX)
+@pytest.mark.parametrize("batched,clifford", _ENGINE_MATRIX)
 def test_counts_bit_identical_across_engine_matrix(
-    batched, clifford, sim_cache, reference_counts
+    batched, clifford, reference_counts
 ):
-    """{batched on/off} x {clifford on/off} x {sim cache on/off}: same
-    counts, including the mid-batch drift boundary. The clifford axis
-    stays bit-identical because the default profile's coherent errors
-    force the dense fallback on every probe (asserted inside
-    ``_run_combo``)."""
-    counts = _run_combo(
-        sim_cache, "local", batched=batched, clifford=clifford
-    )
+    """{batched on/off} x {clifford on/off}: same counts, including the
+    mid-batch drift boundary. The clifford axis stays bit-identical
+    because the default profile's coherent errors force the dense
+    fallback on every probe (asserted inside ``_run_combo``)."""
+    counts = _run_combo("local", batched=batched, clifford=clifford)
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
             f"{job_id}: counts diverged under batched={batched}, "
-            f"clifford={clifford}, sim_cache={sim_cache}"
+            f"clifford={clifford}"
         )
+
+
+def test_oracle_counts_bit_identical(reference_counts):
+    """The per-Kraus oracle leg: each job's reference distribution at
+    its batch-start snapshot, sampled with the job's seed and logged,
+    across the same drift boundary, gives the reference counts."""
+    device = _device()
+    jobs = _probe_jobs(device)
+    half = len(jobs) // 2
+    first = reference_batch(device, jobs[:half])
+    device.advance_time(2.0 * _HOUR_US)
+    second = reference_batch(device, jobs[half:])
+    counts = [
+        (job.job_id, dict(sorted(got.items())))
+        for job, got in zip(jobs, first + second)
+    ]
+    assert counts == reference_counts
 
 
 def test_matrix_reference_is_deterministic(reference_counts):
     """Rerunning the reference combination reproduces itself exactly
     (guards the fixture against hidden global state)."""
-    again = _run_combo(sim_cache=True, backend_kind="local")
+    again = _run_combo(backend_kind="local")
     assert again == reference_counts
 
 
@@ -180,7 +180,7 @@ def test_matrix_reference_is_deterministic(reference_counts):
 
 def _final_runs(optimization_level, explicit=True):
     """(name, ideal, counts) per program at one optimization level."""
-    device = _device(sim_cache=True)
+    device = _device()
     backend = LocalBackend(device)
     executor = BatchExecutor(backend, mode="parallel")
     runs = []

@@ -44,7 +44,6 @@ def _recipe(**overrides) -> _Recipe:
         profile_key=repr(DEFAULT_PROFILE),
         idle_noise=False,
         crosstalk_zz=0.0,
-        sim_cache=True,
         batched_sim=True,
         clifford_fast_path=False,
         profile=DEFAULT_PROFILE,
@@ -147,7 +146,6 @@ def test_every_key_field_selects_its_own_snapshot(monkeypatch):
         {"profile": replace(DEFAULT_PROFILE, coherent_scale=coherent)},
         {"idle_noise": True},
         {"crosstalk_zz": 0.01},
-        {"sim_cache": False},
         {"batched_sim": False},
         {"clifford_fast_path": True},
     ]

@@ -1,4 +1,5 @@
-"""Simulation cache hierarchy: A/B equivalence, drift, eviction pressure."""
+"""Simulation cache hierarchy: equivalence with the per-Kraus oracle,
+drift, eviction pressure."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from repro.programs.qaoa import qaoa_n5
 from repro.sim import CircuitCompiler, PrefixStateCache, SimulationCache
 from repro.sim.circuit_compiler import circuit_fingerprint
 
+from .oracle import reference_batch, reference_run
+
 
 def _native(device, program, gate="cz"):
     compiled = transpile(program, device)
@@ -23,9 +26,10 @@ def _native(device, program, gate="cz"):
 
 
 def _pair(program, seed=9, **kwargs):
-    """Identically-seeded devices with the hierarchy on and off."""
-    dev_on = small_test_device(5, seed=seed, sim_cache=True, **kwargs)
-    dev_off = small_test_device(5, seed=seed, sim_cache=False, **kwargs)
+    """Identically-seeded twin devices: the first runs the product path,
+    the second is driven through the per-Kraus oracle."""
+    dev_on = small_test_device(5, seed=seed, **kwargs)
+    dev_off = small_test_device(5, seed=seed, **kwargs)
     return dev_on, dev_off, _native(dev_on, program)
 
 
@@ -43,17 +47,6 @@ class TestLayerFusion:
         assert lowered.raw_op_count > len(lowered.operations)
         # Every fused op still acts on at most two qubits.
         assert all(len(op.qubits) <= 2 for op in lowered.operations)
-
-    def test_unfused_stream_matches_op_count(self):
-        device = small_test_device(5, seed=9)
-        circuit = _native(device, ghz(5))
-        used = device._used_qubits(circuit)
-        compact, _ = device._compact_circuit(circuit, used)
-        compiler = CircuitCompiler(
-            device._operation_compiler_factory(used), fuse=False
-        )
-        lowered = compiler.lower(compact)
-        assert len(lowered.operations) == lowered.raw_op_count
 
     def test_prefix_hashes_diverge_with_content(self):
         device = small_test_device(5, seed=9)
@@ -91,7 +84,7 @@ class TestBitIdenticalOnVsOff:
         circuit_off = _native(dev_off, program)
         for seed in (7, 8, 9):
             counts_on = dev_on.run(circuit_on, 1500, seed=seed)
-            counts_off = dev_off.run(circuit_off, 1500, seed=seed)
+            counts_off = reference_run(dev_off, circuit_off, 1500, seed)
             assert counts_on == counts_off
         assert dev_on.clock_us == dev_off.clock_us
 
@@ -101,7 +94,7 @@ class TestBitIdenticalOnVsOff:
     def test_distributions_match_hierarchy_on_vs_off(self, program):
         dev_on, dev_off, circuit = _pair(program)
         dist_on = dev_on.noisy_distribution(circuit)
-        dist_off = dev_off.noisy_distribution(circuit)
+        dist_off = dev_off.reference_distribution(circuit)
         assert set(dist_on) == set(dist_off)
         for key in dist_off:
             assert dist_on[key] == pytest.approx(dist_off[key], abs=1e-12)
@@ -111,13 +104,13 @@ class TestBitIdenticalOnVsOff:
         dev_on, dev_off, _ = _pair(ghz(5))
         circuit_on = _native(dev_on, ghz(5))
         circuit_off = _native(dev_off, ghz(5))
-        assert dev_on.run(circuit_on, 1000, seed=3) == dev_off.run(
-            circuit_off, 1000, seed=3
+        assert dev_on.run(circuit_on, 1000, seed=3) == reference_run(
+            dev_off, circuit_off, 1000, 3
         )
         dev_on.advance_time(6 * 3600e6)
         dev_off.advance_time(6 * 3600e6)
-        assert dev_on.run(circuit_on, 1000, seed=3) == dev_off.run(
-            circuit_off, 1000, seed=3
+        assert dev_on.run(circuit_on, 1000, seed=3) == reference_run(
+            dev_off, circuit_off, 1000, 3
         )
 
     def test_counts_identical_under_eviction_pressure(self):
@@ -128,10 +121,34 @@ class TestBitIdenticalOnVsOff:
         for gate in ("cz", "xy", "cphase"):
             circuit_on = _native(dev_on, ghz(5), gate=gate)
             circuit_off = _native(dev_off, ghz(5), gate=gate)
-            assert dev_on.run(circuit_on, 800, seed=5) == dev_off.run(
-                circuit_off, 800, seed=5
+            assert dev_on.run(circuit_on, 800, seed=5) == reference_run(
+                dev_off, circuit_off, 800, 5
             )
         assert dev_on.sim_cache.prefix.bytes <= 40 * 1024
+
+
+class TestReferenceOracle:
+    """The product pipeline against the per-Kraus oracle, over the
+    optional physics the other comparisons leave off."""
+
+    @pytest.mark.parametrize("crosstalk_zz", [0.0, 0.1])
+    @pytest.mark.parametrize("idle_noise", [False, True])
+    @pytest.mark.parametrize("gate", ["cz", "xy", "cphase"])
+    @pytest.mark.parametrize(
+        "program", [ghz(5), qaoa_n5()], ids=["ghz5", "qaoa5"]
+    )
+    def test_product_matches_oracle(
+        self, program, gate, idle_noise, crosstalk_zz
+    ):
+        device = small_test_device(5, seed=9)
+        device.idle_noise = idle_noise
+        device.crosstalk_zz = crosstalk_zz
+        circuit = _native(device, program, gate=gate)
+        product = device.noisy_distribution(circuit)
+        reference = device.reference_distribution(circuit)
+        assert set(product) == set(reference)
+        for key in reference:
+            assert abs(product[key] - reference[key]) <= 1e-12
 
 
 class TestDriftInvalidation:
@@ -148,19 +165,17 @@ class TestDriftInvalidation:
         assert stats["prefix_entries"] == 0
         assert stats["prefix_bytes"] == 0
         assert stats["sim_epoch"] == device.drift_epoch
-        assert len(device.sim_cache._lowered) == 0
 
     def test_no_stale_distribution_after_mid_batch_drift(self):
         """Time advanced mid-batch: no cache level serves pre-drift data.
 
         The batch-snapshot path computes all distributions at one epoch;
         an advance_time between two batches must force the second batch
-        to recompute against the new parameters, matching a fresh
-        uncached device that drifted identically.
+        to recompute against the new parameters, matching the oracle on
+        a twin device that drifted identically.
         """
         dev_on, dev_off, _ = _pair(ghz(5))
         backend_on = LocalBackend(dev_on)
-        backend_off = LocalBackend(dev_off)
         jobs_on = [
             Job(_native(dev_on, ghz(5)), 500, seed=s, tag="probe")
             for s in (1, 2, 3)
@@ -170,8 +185,8 @@ class TestDriftInvalidation:
             for s in (1, 2, 3)
         ]
         first_on = backend_on.submit_batch(jobs_on, parallel=True)
-        first_off = backend_off.submit_batch(jobs_off, parallel=True)
-        assert [r.counts for r in first_on] == [r.counts for r in first_off]
+        first_off = reference_batch(dev_off, jobs_off)
+        assert [r.counts for r in first_on] == first_off
         # Identical probes in one snapshot batch: the batched engine
         # dedups them in-batch (simulated once, fanned out).
         assert dev_on.sim_cache.stats()["batch_dedup_hits"] >= 2
@@ -179,12 +194,11 @@ class TestDriftInvalidation:
         dev_on.advance_time(12 * 3600e6)
         dev_off.advance_time(12 * 3600e6)
         second_on = backend_on.submit_batch(jobs_on, parallel=True)
-        second_off = backend_off.submit_batch(jobs_off, parallel=True)
-        # Stale service would reproduce the uncached *pre-drift* counts;
-        # instead both paths agree on the *post-drift* physics.
-        assert [r.counts for r in second_on] == [
-            r.counts for r in second_off
-        ]
+        second_off = reference_batch(dev_off, jobs_off)
+        # Stale service would reproduce the *pre-drift* counts; instead
+        # the product path and the oracle agree on the *post-drift*
+        # physics.
+        assert [r.counts for r in second_on] == second_off
         assert [r.counts for r in second_on] != [
             r.counts for r in first_on
         ]
@@ -266,18 +280,6 @@ class TestExecutorStatsPlumbing:
         assert snapshot["sim_prefix_bytes"] == stats.sim_prefix_bytes
         assert "sim cache:" in stats.to_text()
 
-    def test_no_sim_cache_backend_reports_zero(self):
-        device = small_test_device(5, seed=9, sim_cache=False)
-        backend = LocalBackend(device)
-        stats = backend.cache_stats()
-        assert "dist_hits" not in stats  # hierarchy absent, not zeroed
-        executor = BatchExecutor(backend)
-        circuit = _native(device, ghz(5))
-        executor.submit(Job(circuit, 100, seed=1))
-        assert executor.stats.sim_dist_hits == 0
-        assert executor.stats.sim_dist_misses == 0
-        assert "sim cache:" not in executor.stats.to_text()
-
 
 class TestDistributionCacheSkipsSimulation:
     def test_identical_probes_skip_recompute(self):
@@ -341,8 +343,8 @@ class TestDistributionCacheSkipsSimulation:
         dist_01 = device.noisy_distribution(two_qubit_bell(0, 1))
         dist_34 = device.noisy_distribution(two_qubit_bell(3, 4))
         assert device.sim_cache.dist_hits == 0  # distinct placements
-        plain = small_test_device(5, seed=9, sim_cache=False)
-        ref_34 = plain.noisy_distribution(two_qubit_bell(3, 4))
+        plain = small_test_device(5, seed=9)
+        ref_34 = plain.reference_distribution(two_qubit_bell(3, 4))
         for key in ref_34:
             assert dist_34[key] == pytest.approx(ref_34[key], abs=1e-12)
         assert dist_01 != dist_34

@@ -35,7 +35,6 @@ _CACHE_GAUGES = frozenset(
         "prefix_bytes",
         "sim_prefix_bytes",
         "dist_entries",
-        "lower_entries",
         "epoch",
     }
 )
