@@ -8,8 +8,8 @@ tracing (every span streamed to a JSONL sink) under **15%**.
 
 The workload is the repo's standard perf yardstick: a GHZ-7
 localized-search probe sweep on Aspen-11 (per-link reference +
-mass-replacement candidate batches, snapshot discipline). Three
-measurements:
+mass-replacement candidate batches, run one job at a time through the
+executor, as every search does). Three measurements:
 
 * ``disabled`` — no tracer installed (the default for every user who
   never passes ``--trace``): the A-side of the <2% bound;
@@ -85,7 +85,7 @@ def _sweep_time_s(rounds: int, shots: int, tracer=None, registry=None):
     """Wall time of the GHZ-7 probe sweep under one observability mode."""
     device = aspen11(seed=23)
     compiled = transpile(ghz(7), device)
-    executor = BatchExecutor(LocalBackend(device), mode="parallel")
+    executor = BatchExecutor(LocalBackend(device))
     rng = np.random.default_rng(5)
     jobs_total = 0
     start = time.perf_counter()
@@ -151,7 +151,7 @@ def run(rounds: int, shots: int, trials: int):
     return {
         "benchmark": "obs_overhead",
         "workload": (
-            f"GHZ-7 localized-search probe sweep on aspen-11 "
+            f"GHZ-7 localized-search probe sweep on aspen-11, sequential "
             f"({jobs_total} jobs x {trials} trials) @ {shots} shots"
         ),
         "baseline_s": best["baseline"],

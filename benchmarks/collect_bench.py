@@ -6,7 +6,7 @@ repository root. This script reduces them to a single
 its ``--check`` gate is built around), the direction that counts as
 better, and a regression flag comparing against the previously pinned
 trajectory — so the repo's perf history stays monotone-checkable from
-one file instead of nine.
+one file instead of many.
 
 Usage::
 
@@ -29,16 +29,7 @@ from pathlib import Path
 #: Per-benchmark headline: (dotted path into the report, direction,
 #: short label). Direction ``higher`` means bigger is better.
 HEADLINES = {
-    "batched_candidate_engine": (
-        "per_probe.mean_speedup", "higher", "mean per-probe speedup (x)"
-    ),
     "exec_probe_throughput": ("speedup", "higher", "cache speedup (x)"),
-    "sim_cache_probe_workload": (
-        "speedup", "higher", "hierarchy speedup (x)"
-    ),
-    "snapshot_batch_probe_workload": (
-        "speedup", "higher", "snapshot-batch speedup (x)"
-    ),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"
     ),
@@ -63,6 +54,12 @@ HEADLINES = {
 #: because most headlines are wall-clock ratios measured on whatever
 #: machine ran last.
 TOLERANCE = 0.40
+
+#: Headlines pinned near zero, where a relative change is noise (-0.004
+#: -> 0.015 reads as +520%). These compare the absolute change against
+#: the bound their benchmark declares instead: ``bench_obs_overhead``'s
+#: 15% enabled-overhead bound.
+ABSOLUTE_TOLERANCE = {"obs_overhead": 0.15}
 
 TRAJECTORY = "BENCH_trajectory.json"
 
@@ -122,12 +119,21 @@ def flag_regressions(entries, previous):
         if not prior or prior.get("workload", "") != entry["workload"]:
             continue
         old, new = prior["value"], entry["value"]
+        worse = old - new if entry["direction"] == "higher" else new - old
+        absolute = ABSOLUTE_TOLERANCE.get(name)
+        if absolute is not None:
+            entry["previous"] = old
+            entry["absolute_change"] = new - old
+            if worse > absolute:
+                flags.append(
+                    f"{name}: {entry['label']} {old:.3f} -> {new:.3f} "
+                    f"({worse:+.3f} in the wrong direction, bound "
+                    f"{absolute:.3f})"
+                )
+            continue
         if old == 0:
             continue
-        if entry["direction"] == "higher":
-            worse = (old - new) / abs(old)
-        else:
-            worse = (new - old) / abs(old)
+        worse /= abs(old)
         entry["previous"] = old
         entry["relative_change"] = (new - old) / abs(old)
         if worse > TOLERANCE:
@@ -177,11 +183,12 @@ def main(argv=None) -> int:
     for name in sorted(entries):
         entry = entries[name]
         arrow = "^" if entry["direction"] == "higher" else "v"
-        delta = (
-            f"  ({entry['relative_change']:+.1%} vs pinned)"
-            if "relative_change" in entry
-            else ""
-        )
+        if "relative_change" in entry:
+            delta = f"  ({entry['relative_change']:+.1%} vs pinned)"
+        elif "absolute_change" in entry:
+            delta = f"  ({entry['absolute_change']:+.4f} vs pinned)"
+        else:
+            delta = ""
         print(
             f"{name:<{width}}  {entry['value']:>10.4f} {arrow} "
             f"{entry['label']}{delta}"

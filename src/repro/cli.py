@@ -60,11 +60,6 @@ def engine_options(args: argparse.Namespace) -> Dict[str, object]:
         backend=args.backend,
         fault_profile=args.fault_profile,
         fault_seed=args.fault_seed,
-        batched_sim=not args.no_batched_sim,
-        clifford_fast_path=(
-            args.clifford_fast_path and not args.no_clifford_fast_path
-        ),
-        parallel=args.parallel,
         trace=args.trace,
         metrics=args.metrics,
         optimization_level=0 if args.no_opt_passes else args.opt_level,
@@ -112,7 +107,7 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Backend, fault, engine, optimization and observability flags
+    """Backend, fault, optimization and observability flags
     (shared with :mod:`repro.experiments.runner`)."""
     parser.add_argument(
         "--backend",
@@ -132,33 +127,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="seed for the service fault stream and backoff jitter",
-    )
-    parser.add_argument(
-        "--no-batched-sim",
-        action="store_true",
-        help="disable the batched candidate-simulation engine "
-        "(shared-suffix stacked contractions) for A/B runs against "
-        "the one-at-a-time path",
-    )
-    parser.add_argument(
-        "--clifford-fast-path",
-        action="store_true",
-        help="route pure-Clifford probes through the stabilizer "
-        "simulator with a perturbative noise treatment (counts are "
-        "differential-test-bounded, not bit-identical)",
-    )
-    parser.add_argument(
-        "--no-clifford-fast-path",
-        action="store_true",
-        help="force the dense engine even when --clifford-fast-path "
-        "is set (A/B bisection flag)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run executor batches as in-process snapshot batches "
-        "(every job against the batch-start calibration) instead of "
-        "sequentially",
     )
     parser.add_argument(
         "--opt-level",
@@ -479,10 +447,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         fault_profile=args.fault_profile,
         fault_seed=args.fault_seed,
-        batched_sim=not args.no_batched_sim,
-        clifford_fast_path=(
-            args.clifford_fast_path and not args.no_clifford_fast_path
-        ),
         opt_level=(0 if args.no_opt_passes else args.opt_level),
     )
     workload = {

@@ -115,10 +115,8 @@ class Angel:
             possibly stale — that is the point).
         config: Framework tunables.
         executor: Execution service to submit probe jobs through.
-            Defaults to the device's shared sequential executor, which
-            reproduces the paper's one-probe-at-a-time semantics
-            bit-for-bit; a ``mode="parallel"`` executor runs each
-            link's candidates as one snapshot batch.
+            Defaults to the device's shared executor, which runs
+            probes one at a time, as the paper does.
     """
 
     def __init__(

@@ -190,8 +190,6 @@ def build_device(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """Sample a full device from *profile* on the given topology.
 
@@ -224,8 +222,6 @@ def build_device(
         seed=seed + 1,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -241,7 +237,20 @@ def aspen11(
 
     Five octagons give 40 fabricated qubits; two are dead, matching the
     38 usable qubits the paper reports.
+
+    ``batched_sim`` and ``clifford_fast_path`` name engines that no
+    longer exist. They are accepted only at the values that describe
+    the one remaining path (``True``/``False``), so callers written
+    against the old signature keep working; any other value raises
+    :class:`~repro.exceptions.DeviceError`.
     """
+    if not batched_sim or clifford_fast_path:
+        raise DeviceError(
+            "the batched candidate engine and the Clifford fast path "
+            "were removed; every job runs the sequential density-matrix "
+            "path (aspen11 accepts only batched_sim=True, "
+            "clifford_fast_path=False)"
+        )
     topology = aspen_topology(
         rows=1,
         cols=5,
@@ -254,8 +263,6 @@ def aspen11(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -264,8 +271,6 @@ def aspen_m1(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """An 80-qubit Aspen-M-1-like device (two rows of five octagons).
 
@@ -284,8 +289,6 @@ def aspen_m1(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -293,8 +296,6 @@ def small_test_device(
     num_qubits: int = 5,
     seed: int = 7,
     profile: NoiseProfile = DEFAULT_PROFILE,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """A linear-chain device for unit tests and quick examples."""
     # Force all three gates available on every link so tests are stable.
@@ -308,6 +309,4 @@ def small_test_device(
         linear_topology(num_qubits, name=f"line-{num_qubits}"),
         seed=seed,
         profile=forced,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )

@@ -7,15 +7,11 @@ Every submission gets a job id, a workload tag, and a line in the
 did gate selection cost, and how much simulated device time did they
 burn?" without grepping the device log.
 
-Modes:
-
-* ``"sequential"`` (default) — jobs in a batch run one at a time through
-  the backend. With :class:`~repro.exec.backend.LocalBackend` this is
-  bit-identical to the pre-executor ``device.run`` loop, which is what
-  the paper-reproduction tests pin.
-* ``"parallel"`` — batches are handed to the backend's parallel path
-  (in-process snapshot distributions, then per-job sampling and clock
-  accounting). Same end-of-batch device state, faster wall clock.
+Jobs in a batch run one at a time, in submission order, through the
+backend. With :class:`~repro.exec.backend.LocalBackend` this is
+bit-identical to a plain ``device.run`` loop, which is what the
+paper-reproduction tests pin: every probe sees the drift its
+predecessors caused, as on the paper's hardware.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..exceptions import ExecutionError
 from ..obs import runtime as obs
 from .backend import Backend, LocalBackend
 from .job import Job, JobResult
@@ -33,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..device.device import RigettiAspenDevice
 
 __all__ = ["ExecutorStats", "BatchExecutor", "get_executor"]
-
-_MODES = ("sequential", "parallel")
 
 
 @dataclass
@@ -53,14 +46,9 @@ class ExecutorStats:
     wall_time_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Simulation-cache hierarchy counters (distribution memo hits skip
-    #: simulation entirely; prefix hits replay a cached state snapshot).
+    #: Distribution-memo counters (a hit skips simulation entirely).
     sim_dist_hits: int = 0
     sim_dist_misses: int = 0
-    sim_prefix_hits: int = 0
-    sim_prefix_misses: int = 0
-    #: Gauge: prefix-snapshot bytes resident after the latest batch.
-    sim_prefix_bytes: int = 0
     #: Cross-request dedup: distributions served from / published to a
     #: shared :class:`~repro.service.dedup.ProbeDistributionStore`.
     #: Distinct from ``sim_dist_hits`` — those are *same-request* memo
@@ -80,17 +68,13 @@ class ExecutorStats:
     #: Probe batches that were merged into a larger submission via
     #: ``submit_grouped`` (counts source groups, not merged batches).
     coalesced_groups: int = 0
-    #: Identical candidate streams deduplicated inside grouped batches
-    #: (simulated once, result fanned out to every duplicate).
-    batch_dedup_hits: int = 0
-    #: Candidate clusters the batched engine stacked (and how many
-    #: candidates rode those stacked contractions in total).
+    #: Counters of the removed prefix-snapshot cache and batched
+    #: candidate engine. They always read 0 and stay only so callers
+    #: that still read them (``perfbench/layers.py``) keep working.
+    sim_prefix_hits: int = 0
+    sim_prefix_misses: int = 0
     batch_groups: int = 0
     batch_candidates: int = 0
-    #: Probes served by the Clifford stabilizer fast path, and probes
-    #: that were checked but fell back to the dense engine.
-    clifford_fast_hits: int = 0
-    clifford_fallbacks: int = 0
     jobs_by_tag: Dict[str, int] = field(default_factory=dict)
     shots_by_tag: Dict[str, int] = field(default_factory=dict)
     wall_time_by_tag_s: Dict[str, float] = field(default_factory=dict)
@@ -132,9 +116,6 @@ class ExecutorStats:
             "cache_misses": self.cache_misses,
             "sim_dist_hits": self.sim_dist_hits,
             "sim_dist_misses": self.sim_dist_misses,
-            "sim_prefix_hits": self.sim_prefix_hits,
-            "sim_prefix_misses": self.sim_prefix_misses,
-            "sim_prefix_bytes": self.sim_prefix_bytes,
             "sim_shared_hits": self.sim_shared_hits,
             "sim_shared_publishes": self.sim_shared_publishes,
             "retries": self.retries,
@@ -142,11 +123,6 @@ class ExecutorStats:
             "breaker_trips": self.breaker_trips,
             "fallbacks": self.fallbacks,
             "coalesced_groups": self.coalesced_groups,
-            "batch_dedup_hits": self.batch_dedup_hits,
-            "batch_groups": self.batch_groups,
-            "batch_candidates": self.batch_candidates,
-            "clifford_fast_hits": self.clifford_fast_hits,
-            "clifford_fallbacks": self.clifford_fallbacks,
             "jobs_by_tag": dict(self.jobs_by_tag),
             "shots_by_tag": dict(self.shots_by_tag),
             "wall_time_by_tag_s": dict(self.wall_time_by_tag_s),
@@ -161,18 +137,10 @@ class ExecutorStats:
             f"channel cache: {self.cache_hits} hits / "
             f"{self.cache_misses} misses",
         ]
-        if (
-            self.sim_dist_hits
-            or self.sim_dist_misses
-            or self.sim_prefix_hits
-            or self.sim_prefix_misses
-        ):
+        if self.sim_dist_hits or self.sim_dist_misses:
             lines.append(
                 f"sim cache: {self.sim_dist_hits} dist hits / "
-                f"{self.sim_dist_misses} misses, "
-                f"{self.sim_prefix_hits} prefix hits / "
-                f"{self.sim_prefix_misses} misses "
-                f"({self.sim_prefix_bytes / 1024:.0f} KiB resident)"
+                f"{self.sim_dist_misses} misses"
             )
         if self.sim_shared_hits or self.sim_shared_publishes:
             lines.append(
@@ -182,17 +150,6 @@ class ExecutorStats:
         if self.coalesced_groups:
             lines.append(
                 f"coalescing: {self.coalesced_groups} probe batches merged"
-            )
-        if self.batch_groups or self.batch_dedup_hits:
-            lines.append(
-                f"batched sim: {self.batch_groups} stacked clusters "
-                f"({self.batch_candidates} candidates), "
-                f"{self.batch_dedup_hits} in-batch dedup hits"
-            )
-        if self.clifford_fast_hits or self.clifford_fallbacks:
-            lines.append(
-                f"clifford fast path: {self.clifford_fast_hits} hits, "
-                f"{self.clifford_fallbacks} dense fallbacks"
             )
         if (
             self.retries
@@ -218,13 +175,8 @@ class ExecutorStats:
 class BatchExecutor:
     """Submit jobs (singly or in batches) through a Backend, with stats."""
 
-    def __init__(self, backend: Backend, mode: str = "sequential") -> None:
-        if mode not in _MODES:
-            raise ExecutionError(
-                f"unknown executor mode {mode!r}; expected one of {_MODES}"
-            )
+    def __init__(self, backend: Backend) -> None:
         self.backend = backend
-        self.mode = mode
         self.stats = ExecutorStats()
         self._counter = 0
 
@@ -277,11 +229,8 @@ class BatchExecutor:
             tracer.span(
                 "exec.batch",
                 backend=self.backend.name,
-                mode=self.mode,
                 jobs=len(jobs),
-                # Per-candidate histogram amortization: a grouped batch
-                # collapses many candidates into few contractions, so
-                # the wall-time histogram records per-unit time.
+                # The wall-time histogram records per-job time.
                 units=len(jobs),
                 tag=jobs[0].tag or "untagged",
             )
@@ -295,9 +244,7 @@ class BatchExecutor:
             submit = (
                 tolerant if tolerant is not None else self.backend.submit_batch
             )
-            results = submit(
-                jobs, parallel=(self.mode == "parallel" and len(jobs) > 1)
-            )
+            results = submit(jobs)
             elapsed = time.perf_counter() - start
             after = self._cache_counters()
             reliability_after = self._reliability_counters()
@@ -321,36 +268,12 @@ class BatchExecutor:
         self.stats.sim_dist_misses += after.get(
             "dist_misses", 0
         ) - before.get("dist_misses", 0)
-        self.stats.sim_prefix_hits += after.get(
-            "prefix_hits", 0
-        ) - before.get("prefix_hits", 0)
-        self.stats.sim_prefix_misses += after.get(
-            "prefix_misses", 0
-        ) - before.get("prefix_misses", 0)
-        self.stats.sim_prefix_bytes = after.get(
-            "prefix_bytes", self.stats.sim_prefix_bytes
-        )
         self.stats.sim_shared_hits += after.get(
             "dist_shared_hits", 0
         ) - before.get("dist_shared_hits", 0)
         self.stats.sim_shared_publishes += after.get(
             "dist_shared_publishes", 0
         ) - before.get("dist_shared_publishes", 0)
-        self.stats.batch_dedup_hits += after.get(
-            "batch_dedup_hits", 0
-        ) - before.get("batch_dedup_hits", 0)
-        self.stats.batch_groups += after.get(
-            "batch_groups", 0
-        ) - before.get("batch_groups", 0)
-        self.stats.batch_candidates += after.get(
-            "batch_candidates", 0
-        ) - before.get("batch_candidates", 0)
-        self.stats.clifford_fast_hits += after.get(
-            "clifford_fast_hits", 0
-        ) - before.get("clifford_fast_hits", 0)
-        self.stats.clifford_fallbacks += after.get(
-            "clifford_fallbacks", 0
-        ) - before.get("clifford_fallbacks", 0)
         self.stats.retries += reliability_after.get(
             "retries", 0
         ) - reliability_before.get("retries", 0)

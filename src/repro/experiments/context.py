@@ -9,7 +9,7 @@ allows. Every experiment in this package accepts a context so studies
 compose on the same device state.
 
 The protocol is a pure function of its *recipe* (device preset, seeds,
-drift schedule, noise profile, physics and engine flags), so each recipe
+drift schedule, noise profile and physics flags), so each recipe
 is built once per process and kept as pickled bytes in a small LRU.
 Every ``create`` call, first or not, restores its own private copy from
 those bytes: contexts never share mutable state, and a context is the
@@ -31,7 +31,7 @@ from ..device.device import RigettiAspenDevice
 from ..device.presets import DEFAULT_PROFILE, NoiseProfile, aspen11, aspen_m1
 from ..device.topology import Link
 from ..exceptions import ReproError
-from ..exec import BatchExecutor, Job, LocalBackend, get_executor
+from ..exec import BatchExecutor, Job, get_executor
 from ..metrics import success_rate
 from ..obs import JsonlSpanSink, MetricsRegistry, Tracer
 from ..obs import runtime as obs
@@ -70,8 +70,6 @@ class _Recipe:
     profile_key: str
     idle_noise: bool
     crosstalk_zz: float
-    batched_sim: bool
-    clifford_fast_path: bool
     profile: NoiseProfile = field(compare=False, repr=False)
 
 
@@ -84,8 +82,6 @@ def _build_recipe(
         profile=recipe.profile,
         idle_noise=recipe.idle_noise,
         crosstalk_zz=recipe.crosstalk_zz,
-        batched_sim=recipe.batched_sim,
-        clifford_fast_path=recipe.clifford_fast_path,
     )
     service = CalibrationService(device, seed=recipe.calibration_seed)
     service.full_calibration()
@@ -169,9 +165,6 @@ class ExperimentContext:
         fault_seed: Seed for the service's fault stream and the remote
             backend's backoff jitter.
         retry_policy: Remote-client resilience tunables (None = default).
-        parallel: Run executor batches as snapshot batches (every
-            distribution against the batch-start calibration snapshot,
-            computed in-process) instead of sequentially.
     """
 
     device: RigettiAspenDevice
@@ -181,7 +174,6 @@ class ExperimentContext:
     fault_profile: Optional[FaultProfile] = None
     fault_seed: int = 0
     retry_policy: Optional[RetryPolicy] = None
-    parallel: bool = False
     optimization_level: int = 0
     tracer: Optional[Tracer] = field(
         default=None, repr=False, compare=False
@@ -190,9 +182,6 @@ class ExperimentContext:
         default=None, repr=False, compare=False
     )
     _remote_executor: Optional[BatchExecutor] = field(
-        default=None, repr=False, compare=False
-    )
-    _parallel_executor: Optional[BatchExecutor] = field(
         default=None, repr=False, compare=False
     )
     _obs_previous: Optional[tuple] = field(
@@ -219,9 +208,6 @@ class ExperimentContext:
         fault_profile: object = "none",
         fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        batched_sim: bool = True,
-        clifford_fast_path: bool = False,
-        parallel: bool = False,
         optimization_level: int = 0,
         trace: Optional[Union[str, TextIO]] = None,
         metrics: bool = False,
@@ -230,7 +216,7 @@ class ExperimentContext:
 
         The device and calibration are restored from the process-wide
         snapshot of their recipe, built on first use (see the module
-        docstring); backend, faults, retries, batch mode, optimization level
+        docstring); backend, faults, retries, optimization level
         and observability are applied to the restored copy.
 
         Args:
@@ -253,17 +239,6 @@ class ExperimentContext:
                 only meaningful with ``backend="remote"``.
             fault_seed: Seed for fault injection and backoff jitter.
             retry_policy: Remote-client resilience tunables.
-            batched_sim: Stack candidate batches into shared-suffix
-                contractions (the batched engine); disable for A/B runs
-                against the one-at-a-time path.
-            clifford_fast_path: Route pure-Clifford probes through the
-                stabilizer simulator with a white-noise perturbative
-                treatment where the coherent-error budget allows
-                (off by default: its counts are distribution-level
-                approximations, differential-test-bounded rather than
-                bit-identical).
-            parallel: Run executor batches as in-process snapshot
-                batches instead of sequentially.
             optimization_level: Pre-routing circuit optimization level
                 applied by :meth:`transpile` (0 = off, the
                 bit-identical default; see
@@ -297,8 +272,6 @@ class ExperimentContext:
             profile_key=repr(profile),
             idle_noise=idle_noise,
             crosstalk_zz=crosstalk_zz,
-            batched_sim=batched_sim,
-            clifford_fast_path=clifford_fast_path,
             profile=profile,
         )
         device, service = _restore(recipe)
@@ -323,7 +296,6 @@ class ExperimentContext:
             fault_profile=resolved_profile,
             fault_seed=fault_seed,
             retry_policy=retry_policy,
-            parallel=parallel,
             optimization_level=optimization_level,
             tracer=tracer,
             metrics_registry=registry,
@@ -360,20 +332,10 @@ class ExperimentContext:
 
         With ``backend_name="remote"`` this is a dedicated executor over
         a :class:`~repro.service.RemoteBackend` (one cloud service per
-        context); otherwise the device's shared local executor. With
-        ``parallel`` the executor runs batches in ``"parallel"`` mode —
-        local contexts get a dedicated executor, so the shared
-        sequential ledger is untouched; remote contexts forward the mode
-        through the cloud service to its local fallback.
+        context); otherwise the device's shared local executor.
         """
         if self.backend_name == "local":
-            if not self.parallel:
-                return get_executor(self.device)
-            if self._parallel_executor is None:
-                self._parallel_executor = BatchExecutor(
-                    LocalBackend(self.device), mode="parallel"
-                )
-            return self._parallel_executor
+            return get_executor(self.device)
         if self._remote_executor is None:
             qpu_service = CloudQPUService(
                 self.device,
@@ -384,8 +346,7 @@ class ExperimentContext:
             self._remote_executor = BatchExecutor(
                 RemoteBackend(
                     qpu_service, self.retry_policy, seed=self.fault_seed
-                ),
-                mode="parallel" if self.parallel else "sequential",
+                )
             )
         return self._remote_executor
 
@@ -423,10 +384,8 @@ class ExperimentContext:
         """Absorb every live executor/backend ledger into the registry."""
         registry = self.metrics_registry
         executors = []
-        if self.backend_name == "local" and not self.parallel:
+        if self.backend_name == "local":
             executors.append(get_executor(self.device))
-        if self._parallel_executor is not None:
-            executors.append(self._parallel_executor)
         if self._remote_executor is not None:
             executors.append(self._remote_executor)
         for executor in executors:

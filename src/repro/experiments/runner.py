@@ -13,7 +13,6 @@ import sys
 from typing import Optional
 
 from ..cli import add_engine_arguments, engine_options
-from ..exceptions import ReproError
 from .context import ExperimentContext
 from .registry import EXPERIMENTS, run_experiment
 
@@ -32,10 +31,6 @@ def _replay_tenants(
     ``--fleet M`` routes the same workload across M drifting replicas."""
     from ..service import RequestSpec, TenantConfig, replay_workload
 
-    if tenants < 1:
-        raise ReproError("--tenants must be >= 1")
-    if fleet < 0:
-        raise ReproError("--fleet must be >= 0")
     programs = ("GHZ_n4", "BV_n4", "QAOA_n5")
     workload = {
         f"tenant-{index}": [
@@ -134,6 +129,10 @@ def main(argv: Optional[list] = None) -> int:
     run order."""
     parser = build_parser()
     args = parser.parse_intermixed_args(argv)
+    if args.tenants is not None and args.tenants < 1:
+        parser.error("--tenants must be >= 1")
+    if args.fleet < 0:
+        parser.error("--fleet must be >= 0")
     if args.tenants is not None:
         return _replay_tenants(
             args.tenants,

@@ -18,7 +18,7 @@ Two layers live here:
   :func:`~repro.service.angel_service.run_standalone`.
 * :class:`FleetReplica` — the live ledger the router reads: queue
   depth in probe jobs, cumulative simulated device time, a bounded set
-  of recently-seen circuit prefix signatures (for prefix-cache
+  of recently-seen circuit prefix signatures (for dedup-store
   affinity), and the replica's private
   :class:`~repro.service.dedup.ProbeDistributionStore` partition.
 
@@ -273,8 +273,7 @@ class FleetReplica:
         """Fraction of the prefix chain this replica has seen recently.
 
         1.0 means a request with this instruction prefix already ran
-        here — its prefix-state snapshots are warm in the replica's
-        caches and its distributions may sit in the replica's dedup
+        here, so its probe distributions may sit in the replica's dedup
         partition.
         """
         if not signature:

@@ -11,10 +11,11 @@ ledger):
 * **calibration-window freshness** — how recently the replica's
   staggered calibration cadence last fired (fresher calibration means
   the noise-adaptive reference sequence is better informed);
-* **prefix-cache affinity** — overlap between the request's
+* **affinity** — overlap between the request's
   ``instruction_hash_chain`` prefix and the chains recently routed to
-  the replica: co-locating same-prefix requests keeps prefix-state
-  caches warm and makes the replica's dedup partition actually hit.
+  the replica: co-locating requests for the same program makes the
+  replica's dedup partition (its
+  :class:`~repro.service.dedup.ProbeDistributionStore`) actually hit.
 
 Two forms of stickiness sit above the score: a request already bound
 stays bound (its device-clock trajectory must stay coherent), and a

@@ -42,8 +42,8 @@ from .router import FleetRouter, PlacementDecision
 __all__ = ["FleetBackend", "ReplicaBinding", "FleetService"]
 
 #: How many leading instruction hashes form a request's routing
-#: signature. Prefix overlap is what warms per-replica caches, so only
-#: the head of the chain matters for placement.
+#: signature. Prefix overlap is what makes a replica's dedup store hit,
+#: so only the head of the chain matters for placement.
 _SIGNATURE_PREFIX = 16
 
 
@@ -59,7 +59,7 @@ class FleetBackend:
         return f"fleet[{self.replica.name}]/{self.inner.name}"
 
     # ------------------------------------------------------------------
-    def _dispatch(self, jobs, call, *args, **kwargs):
+    def _dispatch(self, jobs, call, *args):
         replica = self.replica
         depth = replica.begin_batch(len(jobs))
         self._set_queue_gauge()
@@ -77,7 +77,7 @@ class FleetBackend:
         device_time_us = 0.0
         try:
             with span:
-                results = call(*args, **kwargs)
+                results = call(*args)
                 completed = [r for r in results if r is not None]
                 device_time_us = sum(r.duration_us for r in completed)
                 if tracer:
@@ -105,10 +105,8 @@ class FleetBackend:
     def submit(self, job):
         return self._dispatch([job], lambda: [self.inner.submit(job)])[0]
 
-    def submit_batch(self, jobs, parallel: bool = False):
-        return self._dispatch(
-            jobs, self.inner.submit_batch, jobs, parallel=parallel
-        )
+    def submit_batch(self, jobs):
+        return self._dispatch(jobs, self.inner.submit_batch, jobs)
 
     def __getattr__(self, name):
         # Only expose the tolerant path when the wrapped backend has it:
@@ -117,10 +115,8 @@ class FleetBackend:
         if name == "submit_batch_tolerant":
             inner_tolerant = getattr(self.inner, name)
 
-            def tolerant(jobs, parallel=False):
-                return self._dispatch(
-                    jobs, inner_tolerant, jobs, parallel=parallel
-                )
+            def tolerant(jobs):
+                return self._dispatch(jobs, inner_tolerant, jobs)
 
             return tolerant
         return getattr(self.inner, name)

@@ -165,9 +165,6 @@ class Histogram:
 _GAUGE_KEYS = frozenset(
     {
         "entries",
-        "prefix_entries",
-        "prefix_bytes",
-        "sim_prefix_bytes",
         "dist_entries",
         "epoch",
     }

@@ -324,10 +324,9 @@ class Tracer:
             histogram = self.registry.histogram(f"span.{span.name}.wall_s")
             units = span.attributes.get("units")
             if isinstance(units, int) and units > 1:
-                # A grouped batch collapses many candidates into one
-                # span (batched contraction); record the amortized
-                # per-unit wall time once per unit so percentiles stay
-                # comparable across engine modes.
+                # A batch span covers many jobs; record the amortized
+                # per-job wall time once per job so percentiles stay
+                # comparable between single jobs and batches.
                 histogram.observe_many(span.wall_time_s / units, units)
             else:
                 histogram.observe(span.wall_time_s)

@@ -97,12 +97,6 @@ class RequestSpec:
     backend: str = "local"
     fault_profile: str = "none"
     fault_seed: int = 0
-    #: Engine toggles (see :meth:`ExperimentContext.create`): the
-    #: batched candidate engine is on by default; the Clifford fast
-    #: path is opt-in because its counts are differential-test-bounded
-    #: approximations rather than bit-identical.
-    batched_sim: bool = True
-    clifford_fast_path: bool = False
     #: Window-aligned batch admission for remote backends (see
     #: :meth:`CloudQPUService.align_window`). Part of the spec so the
     #: standalone reference run takes the identical clock trajectory.
@@ -118,6 +112,17 @@ class RequestSpec:
     #: reference transpile at the same level, so service-vs-standalone
     #: bit-equivalence holds at every level.
     opt_level: int = 0
+
+    # The batched candidate engine and the Clifford fast path are gone;
+    # these read-only views keep callers of the old fields working and
+    # always describe the one remaining engine.
+    @property
+    def batched_sim(self) -> bool:
+        return True
+
+    @property
+    def clifford_fast_path(self) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -275,8 +280,6 @@ class _Request:
                 backend=effective.backend,
                 fault_profile=effective.fault_profile,
                 fault_seed=effective.fault_seed,
-                batched_sim=effective.batched_sim,
-                clifford_fast_path=effective.clifford_fast_path,
             )
         except BaseException:
             self._release_binding()
@@ -291,8 +294,7 @@ class _Request:
                 # only adds per-replica accounting, so results stay
                 # bit-identical to the unwrapped path.
                 self.executor = BatchExecutor(
-                    self.binding.wrap_backend(backend),
-                    mode=self.executor.mode,
+                    self.binding.wrap_backend(backend)
                 )
             if store is not None:
                 store.attach(self.context.device)

@@ -8,7 +8,7 @@
   (fused per-gate superoperators), then
   :class:`~repro.sim.circuit_compiler.CircuitCompiler` lowering with
   layer fusion, then :class:`~repro.sim.sim_cache.SimulationCache`
-  (prefix-state snapshots and a distribution memo).
+  (a straight-line evolution behind a per-epoch distribution memo).
 * :class:`~repro.sim.density_matrix.DensityMatrixSimulator` — the
   per-Kraus simulator behind the device's test oracle
   (``RigettiAspenDevice.reference_distribution``).
@@ -27,7 +27,7 @@ from .circuit_compiler import (
     circuit_fingerprint,
     instruction_hash_chain,
 )
-from .sim_cache import PrefixStateCache, SimulationCache
+from .sim_cache import SimulationCache
 from .channels import (
     KrausChannel,
     ReadoutError,
@@ -64,7 +64,6 @@ __all__ = [
     "LoweredOp",
     "circuit_fingerprint",
     "instruction_hash_chain",
-    "PrefixStateCache",
     "SimulationCache",
     "KrausChannel",
     "ReadoutError",

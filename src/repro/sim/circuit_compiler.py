@@ -1,4 +1,4 @@
-"""Circuit lowering and layer fusion for the simulation cache hierarchy.
+"""Circuit lowering and layer fusion for the simulation cache.
 
 The density-matrix simulator pays ``O(4^n)`` per operator contraction no
 matter how small the operator is, so the *number* of contractions — not
@@ -11,16 +11,9 @@ tails (the RZ/RX sandwiches nativization wraps around every entangling
 pulse) are embedded into their neighbouring two-qubit superoperator.
 The contraction count drops before any state work happens.
 
-Every lowered operator carries a content *fingerprint* — the
-``(name, qubits, params)`` identity of the instructions it was fused
-from — and the stream carries a chain of rolling prefix hashes over
-those fingerprints. Two circuits that share an instruction prefix (the
-``2L`` mass-replacement probe candidates of a localized search differ
-from the baseline only at one link's sites) produce identical lowered
-prefixes and identical hash chains, which is what lets
-:class:`~repro.sim.sim_cache.PrefixStateCache` replay the shared prefix
-once. Fingerprints deliberately exclude the circuit *name*: probe
-candidates are content-addressed, not label-addressed.
+:func:`circuit_fingerprint` is the content identity the simulation
+cache keys distributions on; it deliberately excludes the circuit
+*name*, so probe candidates are content-addressed, not label-addressed.
 
 Fusion is exact up to floating-point association: the fused
 superoperator is the matrix product of its parts, so distributions
@@ -38,7 +31,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import Gate
 from .channels import KrausChannel, Superoperator
 
 __all__ = [
@@ -70,16 +62,14 @@ def instruction_hash_chain(
 ) -> Tuple[bytes, ...]:
     """Rolling content hash after each *instruction* (no lowering).
 
-    The scheduling-side sibling of :class:`CircuitCompiler`'s lowered
-    prefix chain: the same fingerprint discipline — content atoms
-    ``(name, qubits, params)``, circuit label excluded, ``blake2b`` so
-    keys are stable across processes — but computed straight off the
-    instruction stream, with no device hooks and no matrix work. Two
-    circuits share a chain prefix exactly when they share an instruction
-    prefix, which is what the fleet router's prefix-cache affinity
-    scores: requests that would hit the same
-    :class:`~repro.sim.sim_cache.PrefixStateCache` snapshots land on the
-    same replica.
+    The same fingerprint discipline as :func:`circuit_fingerprint` —
+    content atoms ``(name, qubits, params)``, circuit label excluded —
+    hashed with ``blake2b`` so keys are stable across processes, with no
+    device hooks and no matrix work. Two circuits share a chain prefix
+    exactly when they share an instruction prefix, which is what the
+    fleet router's affinity scores: requests for the same program land
+    on the same replica, whose dedup store then serves their identical
+    probe distributions.
     """
     digest = hashlib.blake2b(
         repr(("instructions", circuit.num_qubits, tuple(hash_seed))).encode(),
@@ -102,38 +92,30 @@ class LoweredOp:
         superop: The channel to contract against the state.
         qubits: Local (compact-register) qubits it acts on, in the
             superoperator's qubit order.
-        fingerprint: Tuple of the ``(name, qubits, params, part)`` atoms
-            this operator was fused from, in application order — the
-            content identity the prefix hash chain is built over.
     """
 
     superop: Superoperator
     qubits: Tuple[int, ...]
-    fingerprint: Tuple
 
 
 @dataclass(frozen=True)
 class LoweredCircuit:
-    """A circuit lowered to fused superoperators plus its hash chain.
+    """A circuit lowered to fused superoperators.
 
     Attributes:
         num_qubits: Compact register width.
         operations: The fused contraction stream, in order.
-        prefix_hashes: ``prefix_hashes[i]`` identifies the state after
-            applying ``operations[0..i]`` — the key a prefix snapshot of
-            that state is stored under.
         raw_op_count: Contractions the unfused stream would have cost
             (for fusion-efficiency reporting).
     """
 
     num_qubits: int
     operations: Tuple[LoweredOp, ...]
-    prefix_hashes: Tuple[bytes, ...]
     raw_op_count: int
 
 
 class CircuitCompiler:
-    """Lower circuits into fingerprinted, layer-fused operator streams.
+    """Lower circuits into layer-fused operator streams.
 
     Args:
         operation_compiler: The per-instruction hook the device already
@@ -144,32 +126,23 @@ class CircuitCompiler:
         noise_callback: Fallback noise hook for instructions the
             operation compiler declines; channels it returns are
             vectorized into superoperators.
-        hash_seed: Extra context mixed into the prefix hash chain —
-            the device passes the physical qubit placement here so
-            identical compact circuits on different physical qubits
-            never share prefix keys.
     """
 
     def __init__(
         self,
         operation_compiler: Optional[Callable] = None,
         noise_callback: Optional[Callable] = None,
-        hash_seed: Tuple = (),
     ) -> None:
         self.operation_compiler = operation_compiler
         self.noise_callback = noise_callback
-        self.hash_seed = tuple(hash_seed)
 
     # ------------------------------------------------------------------
     def lower(self, circuit: QuantumCircuit) -> LoweredCircuit:
-        """Flatten *circuit* into a fused, fingerprinted operator stream."""
+        """Flatten *circuit* into a fused operator stream."""
         raw = self._raw_stream(circuit)
-        operations = self._fused(raw)
-        hashes = self._hash_chain(circuit.num_qubits, operations)
         return LoweredCircuit(
             num_qubits=circuit.num_qubits,
-            operations=tuple(operations),
-            prefix_hashes=hashes,
+            operations=tuple(self._fused(raw)),
             raw_op_count=len(raw),
         )
 
@@ -180,39 +153,27 @@ class CircuitCompiler:
         for gate in circuit:
             if not gate.is_unitary:
                 continue  # barriers/measures do not evolve the state
-            atom = (gate.name, gate.qubits, gate.params)
             compiled = (
                 self.operation_compiler(gate)
                 if self.operation_compiler is not None
                 else None
             )
             if compiled is not None:
-                for part, (operator, qubits) in enumerate(compiled):
+                for operator, qubits in compiled:
                     stream.append(
-                        LoweredOp(
-                            _as_superoperator(operator),
-                            tuple(qubits),
-                            (atom + (part,),),
-                        )
+                        LoweredOp(_as_superoperator(operator), tuple(qubits))
                     )
                 continue
             stream.append(
                 LoweredOp(
                     Superoperator.from_unitary(gate.matrix(), gate.name),
                     gate.qubits,
-                    (atom + ("ideal",),),
                 )
             )
             if self.noise_callback is not None:
-                for part, (channel, qubits) in enumerate(
-                    self.noise_callback(gate)
-                ):
+                for channel, qubits in self.noise_callback(gate):
                     stream.append(
-                        LoweredOp(
-                            _as_superoperator(channel),
-                            tuple(qubits),
-                            (atom + ("noise", part),),
-                        )
+                        LoweredOp(_as_superoperator(channel), tuple(qubits))
                     )
         return stream
 
@@ -228,26 +189,6 @@ class CircuitCompiler:
                     continue
             fused.append(op)
         return fused
-
-    def _hash_chain(
-        self, num_qubits: int, operations: List[LoweredOp]
-    ) -> Tuple[bytes, ...]:
-        """Rolling content hash after each fused operator.
-
-        ``blake2b`` (not Python's salted ``hash``) keeps keys stable
-        across processes and interpreter runs.
-        """
-        digest = hashlib.blake2b(
-            repr(("lowered", num_qubits, self.hash_seed)).encode(),
-            digest_size=_HASH_BYTES,
-        ).digest()
-        chain: List[bytes] = []
-        for op in operations:
-            hasher = hashlib.blake2b(digest, digest_size=_HASH_BYTES)
-            hasher.update(repr(op.fingerprint).encode())
-            digest = hasher.digest()
-            chain.append(digest)
-        return tuple(chain)
 
 
 def _as_superoperator(operator: object) -> Superoperator:
@@ -292,4 +233,4 @@ def _try_fuse(pending: LoweredOp, nxt: LoweredOp) -> Optional[LoweredOp]:
         qubits = nxt.qubits
     else:
         return None
-    return LoweredOp(superop, qubits, pending.fingerprint + nxt.fingerprint)
+    return LoweredOp(superop, qubits)

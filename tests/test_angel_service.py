@@ -625,3 +625,17 @@ def test_service_emits_spans_and_tenant_counters():
     assert counters["service.tenant.alice.completed"] == 1
     assert counters["service.tenant.bob.completed"] == 1
     assert counters["service.tenant.bob.dedup_hits"] > 0
+
+
+def test_request_spec_engine_knobs_are_read_only():
+    """The removed engine toggles are no longer constructor fields; the
+    read-only views describe the one remaining engine."""
+    with pytest.raises(TypeError):
+        RequestSpec("GHZ_n4", batched_sim=False)
+    with pytest.raises(TypeError):
+        RequestSpec("GHZ_n4", clifford_fast_path=True)
+    spec = RequestSpec("GHZ_n4")
+    assert spec.batched_sim is True
+    assert spec.clifford_fast_path is False
+    with pytest.raises(AttributeError):
+        spec.batched_sim = False

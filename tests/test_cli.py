@@ -181,12 +181,12 @@ class TestCommands:
 
 
 class TestParallelFlag:
-    """``--parallel`` runs probes as in-process snapshot batches."""
+    """Snapshot batches and ``--parallel`` are gone: the CLI runs every
+    batch sequentially, exactly as the library context does."""
 
     _ARGS = [
         "compile",
         "GHZ_n4",
-        "--parallel",
         "--stats",
         "--seed",
         "3",
@@ -206,13 +206,15 @@ class TestParallelFlag:
 
         def recording(self, jobs, allow_failures=False):
             results = submit_batch(self, jobs, allow_failures)
-            seen.append((self.mode, [r.counts for r in results]))
+            seen.append([r.counts for r in results])
             return results
 
         monkeypatch.setattr(BatchExecutor, "submit_batch", recording)
         return seen
 
-    def test_cli_matches_library_parallel_context(self, monkeypatch, capsys):
+    def test_cli_matches_library_sequential_context(
+        self, monkeypatch, capsys
+    ):
         seen = self._record_counts(monkeypatch)
         assert main(self._ARGS) == 0
         out = capsys.readouterr().out
@@ -221,7 +223,7 @@ class TestParallelFlag:
         seen.clear()
 
         context = ExperimentContext.create(
-            device_name="aspen-11", seed=3, drift_hours=2.0, parallel=True
+            device_name="aspen-11", seed=3, drift_hours=2.0
         )
         try:
             compiled = context.transpile(get_benchmark("GHZ_n4").build())
@@ -239,9 +241,8 @@ class TestParallelFlag:
             context.close()
 
         assert seen == cli_counts
-        assert {mode for mode, _ in cli_counts} == {"parallel"}
-        # Probe batches (more than one job) actually ran as snapshots.
-        assert any(len(counts) > 1 for _, counts in cli_counts)
+        # Probe batches (more than one job) went through the executor.
+        assert any(len(counts) > 1 for counts in cli_counts)
 
     def test_max_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -251,6 +252,21 @@ class TestParallelFlag:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--parallel",
+            "--no-batched-sim",
+            "--clifford-fast-path",
+            "--no-clifford-fast-path",
+        ],
+    )
+    def test_removed_engine_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._ARGS + [flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestExperimentsRunner:
     """``python -m repro.experiments.runner`` parses its argv with
@@ -258,14 +274,42 @@ class TestExperimentsRunner:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--no-sim-cache", "fig1c"], ["--max-workers", "4", "fig1c"]],
-        ids=["no_sim_cache", "max_workers"],
+        [
+            ["--no-sim-cache", "fig1c"],
+            ["--max-workers", "4", "fig1c"],
+            ["--parallel", "fig1c"],
+            ["--no-batched-sim", "fig1c"],
+            ["--clifford-fast-path", "fig1c"],
+        ],
+        ids=[
+            "no_sim_cache",
+            "max_workers",
+            "parallel",
+            "no_batched_sim",
+            "clifford_fast_path",
+        ],
     )
     def test_unknown_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             runner_main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--tenants", "0"], "--tenants must be >= 1"),
+            (["--tenants", "1", "--fleet", "-1"], "--fleet must be >= 0"),
+        ],
+        ids=["zero_tenants", "negative_fleet"],
+    )
+    def test_invalid_replay_shape_is_a_usage_error(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_module_run_imports_runner_once(self):
         """Running the module must not find it already imported by the

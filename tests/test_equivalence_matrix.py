@@ -1,17 +1,16 @@
 """Cross-product bit-equivalence of execution configurations.
 
 One parametrized matrix pins the repo's central execution contract: for
-snapshot (parallel-discipline) batches with per-job seeds, the counts a
-probe batch produces are **bit-identical** across
+sequential batches with per-job seeds, the counts a probe batch
+produces are **bit-identical** across
 
-  {local backend, zero-fault remote} x {batched engine on, off}
-  x {Clifford fast path on, off} and the per-Kraus oracle.
+  {local backend, zero-fault remote} x the per-Kraus oracle.
 
 Every combination runs the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
 across a mid-batch ``advance_time`` drift boundary applied identically
-to every combination. The local path with default engines is the
-reference; everything else must match it exactly — not statistically.
+to every combination. The local path is the reference; everything else
+must match it exactly — not statistically.
 """
 
 import pytest
@@ -30,13 +29,13 @@ from repro.service import (
     fault_profile,
 )
 
-from .oracle import reference_batch
+from .oracle import reference_run
 
 _HOUR_US = 3_600e6
 
 
-def _device(batched: bool = True, clifford: bool = False):
-    return aspen11(seed=17, batched_sim=batched, clifford_fast_path=clifford)
+def _device():
+    return aspen11(seed=17)
 
 
 def _probe_jobs(device):
@@ -61,20 +60,16 @@ def _probe_jobs(device):
     return jobs
 
 
-def _run_combo(
-    backend_kind: str,
-    batched: bool = True,
-    clifford: bool = False,
-):
+def _run_combo(backend_kind: str):
     """Counts from the two probe batches under one configuration, with
     an identical mid-batch drift boundary between them."""
-    device = _device(batched=batched, clifford=clifford)
+    device = _device()
     if backend_kind == "local":
         backend = LocalBackend(device)
     else:
         service = CloudQPUService(device, fault_profile("none"), seed=0)
         backend = RemoteBackend(service, seed=0)
-    executor = BatchExecutor(backend, mode="parallel")
+    executor = BatchExecutor(backend)
     jobs = _probe_jobs(device)
     half = len(jobs) // 2
     first = executor.submit_batch(jobs[:half])
@@ -82,14 +77,6 @@ def _run_combo(
     # same simulated-time epoch at the same point in the workload.
     device.advance_time(2.0 * _HOUR_US)
     second = executor.submit_batch(jobs[half:])
-    if clifford and backend_kind == "local":
-        # Under the default noise profile the coherent-error budget
-        # always exceeds the fast path's exactness threshold, so every
-        # probe must fall back to the dense engine — that is what makes
-        # this combination bit-identical, not merely statistically
-        # close.
-        assert device.clifford_fast_hits == 0
-        assert device.clifford_fallbacks > 0
     return [
         (result.job_id, dict(sorted(result.counts.items())))
         for result in first + second
@@ -101,18 +88,6 @@ def _run_combo(
 _MATRIX = [
     pytest.param(backend_kind, id=f"cache_on-{backend_kind}")
     for backend_kind in ("local", "remote")
-]
-
-
-_ENGINE_MATRIX = [
-    pytest.param(
-        batched,
-        clifford,
-        id=f"batched_{'on' if batched else 'off'}-"
-        f"clifford_{'on' if clifford else 'off'}-cache_on",
-    )
-    for batched in (True, False)
-    for clifford in (True, False)
 ]
 
 
@@ -133,34 +108,23 @@ def test_counts_bit_identical_across_matrix(backend_kind, reference_counts):
         )
 
 
-@pytest.mark.parametrize("batched,clifford", _ENGINE_MATRIX)
-def test_counts_bit_identical_across_engine_matrix(
-    batched, clifford, reference_counts
-):
-    """{batched on/off} x {clifford on/off}: same counts, including the
-    mid-batch drift boundary. The clifford axis stays bit-identical
-    because the default profile's coherent errors force the dense
-    fallback on every probe (asserted inside ``_run_combo``)."""
-    counts = _run_combo("local", batched=batched, clifford=clifford)
-    assert len(counts) == len(reference_counts)
-    for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
-        assert job_id == ref_id
-        assert got == want, (
-            f"{job_id}: counts diverged under batched={batched}, "
-            f"clifford={clifford}"
-        )
-
-
 def test_oracle_counts_bit_identical(reference_counts):
     """The per-Kraus oracle leg: each job's reference distribution at
-    its batch-start snapshot, sampled with the job's seed and logged,
-    across the same drift boundary, gives the reference counts."""
+    its own start state, sampled with the job's seed and logged, across
+    the same drift boundary, gives the reference counts."""
     device = _device()
     jobs = _probe_jobs(device)
     half = len(jobs) // 2
-    first = reference_batch(device, jobs[:half])
+
+    def run(batch):
+        return [
+            reference_run(device, job.circuit, job.shots, job.seed)
+            for job in batch
+        ]
+
+    first = run(jobs[:half])
     device.advance_time(2.0 * _HOUR_US)
-    second = reference_batch(device, jobs[half:])
+    second = run(jobs[half:])
     counts = [
         (job.job_id, dict(sorted(got.items())))
         for job, got in zip(jobs, first + second)
@@ -181,8 +145,7 @@ def test_matrix_reference_is_deterministic(reference_counts):
 def _final_runs(optimization_level, explicit=True):
     """(name, ideal, counts) per program at one optimization level."""
     device = _device()
-    backend = LocalBackend(device)
-    executor = BatchExecutor(backend, mode="parallel")
+    executor = BatchExecutor(LocalBackend(device))
     runs = []
     seed = 9500
     for program in (ghz(4), qaoa_n5()):

@@ -440,3 +440,41 @@ class TestContextPlumbing:
             assert span["attributes"]["shots"] == 128
             assert span["wall_time_s"] >= 0.0
             assert "cache_hits_delta" in span["attributes"]
+
+
+# ----------------------------------------------------------------------
+# Per-job histogram amortization
+# ----------------------------------------------------------------------
+class TestPerCandidateHistogram:
+    def test_exec_batch_wall_time_amortized_per_candidate(self):
+        """A batch of N jobs lands N per-unit observations in the
+        exec.batch wall-time histogram, not one batch-sized
+        observation, so percentiles stay comparable between single
+        jobs and batches."""
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        with tracer.span("exec.batch", jobs=8, units=8):
+            pass
+        histogram = registry.histogram("span.exec.batch.wall_s")
+        assert histogram.count == 8
+        span = tracer.spans[-1]
+        assert histogram.total == pytest.approx(span.wall_time_s)
+
+    def test_span_without_units_observes_once(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        with tracer.span("backend.job"):
+            pass
+        assert registry.histogram("span.backend.job.wall_s").count == 1
+
+    def test_observe_many_matches_repeated_observe(self):
+        from repro.obs.metrics import Histogram
+
+        left = Histogram("left")
+        right = Histogram("right")
+        left.observe_many(0.25, 5)
+        for _ in range(5):
+            right.observe(0.25)
+        assert left.snapshot() == right.snapshot()
+        left.observe_many(1.0, 0)  # no-op
+        assert left.count == 5

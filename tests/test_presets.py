@@ -87,3 +87,34 @@ class TestProfileSampling:
         device = aspen11(seed=1, idle_noise=True, crosstalk_zz=0.07)
         assert device.idle_noise is True
         assert device.crosstalk_zz == pytest.approx(0.07)
+
+
+class TestRemovedEngineKnobs:
+    """``batched_sim``/``clifford_fast_path`` survive only on ``aspen11``,
+    and only at the values that describe the one remaining engine."""
+
+    def test_aspen11_accepts_the_remaining_engine(self):
+        from repro.device import aspen11
+
+        device = aspen11(seed=1, batched_sim=True, clifford_fast_path=False)
+        assert device.name == "aspen-11"
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"batched_sim": False}, {"clifford_fast_path": True}],
+        ids=["batched_sim_off", "clifford_fast_path_on"],
+    )
+    def test_aspen11_rejects_removed_engines(self, knob):
+        from repro.device import aspen11
+        from repro.exceptions import DeviceError
+
+        with pytest.raises(DeviceError, match="removed"):
+            aspen11(seed=1, **knob)
+
+    def test_other_presets_drop_the_knobs(self):
+        from repro.device import aspen_m1
+
+        with pytest.raises(TypeError):
+            aspen_m1(batched_sim=True)
+        with pytest.raises(TypeError):
+            small_test_device(clifford_fast_path=False)

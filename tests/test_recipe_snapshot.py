@@ -44,8 +44,6 @@ def _recipe(**overrides) -> _Recipe:
         profile_key=repr(DEFAULT_PROFILE),
         idle_noise=False,
         crosstalk_zz=0.0,
-        batched_sim=True,
-        clifford_fast_path=False,
         profile=DEFAULT_PROFILE,
     )
     fields.update(overrides)
@@ -146,8 +144,6 @@ def test_every_key_field_selects_its_own_snapshot(monkeypatch):
         {"profile": replace(DEFAULT_PROFILE, coherent_scale=coherent)},
         {"idle_noise": True},
         {"crosstalk_zz": 0.01},
-        {"batched_sim": False},
-        {"clifford_fast_path": True},
     ]
     for overrides in variants:
         kwargs = dict(drift_hours=_DRIFT)
@@ -158,7 +154,6 @@ def test_every_key_field_selects_its_own_snapshot(monkeypatch):
     for kwargs in (
         dict(backend="remote", fault_profile="light", fault_seed=5),
         dict(optimization_level=2, metrics=True),
-        dict(parallel=True),
     ):
         ExperimentContext.create(drift_hours=_DRIFT, **kwargs).close()
     assert set(recorded[len(variants):]) == {recorded[0]}

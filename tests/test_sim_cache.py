@@ -1,4 +1,4 @@
-"""Simulation cache hierarchy: equivalence with the per-Kraus oracle,
+"""Simulation cache: equivalence with the per-Kraus oracle,
 drift, eviction pressure."""
 
 import numpy as np
@@ -11,10 +11,10 @@ from repro.device import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.programs.ghz import ghz
 from repro.programs.qaoa import qaoa_n5
-from repro.sim import CircuitCompiler, PrefixStateCache, SimulationCache
+from repro.sim import CircuitCompiler, SimulationCache
 from repro.sim.circuit_compiler import circuit_fingerprint
 
-from .oracle import reference_batch, reference_run
+from .oracle import reference_run
 
 
 def _native(device, program, gate="cz"):
@@ -23,6 +23,14 @@ def _native(device, program, gate="cz"):
     return nativize(
         compiled.scheduled, sequence.as_site_map(), device.native_gates
     )
+
+
+def _reference_jobs(device, jobs):
+    """Counts of a sequential batch on the oracle, job by job."""
+    return [
+        reference_run(device, job.circuit, job.shots, job.seed)
+        for job in jobs
+    ]
 
 
 def _pair(program, seed=9, **kwargs):
@@ -47,22 +55,6 @@ class TestLayerFusion:
         assert lowered.raw_op_count > len(lowered.operations)
         # Every fused op still acts on at most two qubits.
         assert all(len(op.qubits) <= 2 for op in lowered.operations)
-
-    def test_prefix_hashes_diverge_with_content(self):
-        device = small_test_device(5, seed=9)
-        circ_cz = _native(device, ghz(5), gate="cz")
-        circ_xy = _native(device, ghz(5), gate="xy")
-        used = device._used_qubits(circ_cz)
-        compact_cz, _ = device._compact_circuit(circ_cz, used)
-        compact_xy, _ = device._compact_circuit(circ_xy, used)
-        compiler = CircuitCompiler(
-            device._operation_compiler_factory(used)
-        )
-        hashes_cz = compiler.lower(compact_cz).prefix_hashes
-        hashes_xy = compiler.lower(compact_xy).prefix_hashes
-        assert hashes_cz != hashes_xy
-        # Same circuit twice: identical chain (stable, content-based).
-        assert hashes_cz == compiler.lower(compact_cz).prefix_hashes
 
     def test_fingerprint_ignores_name_keeps_content(self):
         device = small_test_device(5, seed=9)
@@ -114,17 +106,23 @@ class TestBitIdenticalOnVsOff:
         )
 
     def test_counts_identical_under_eviction_pressure(self):
-        """A starving byte budget degrades speed, never correctness."""
+        """A starving memo budget degrades speed, never correctness."""
         dev_on, dev_off, _ = _pair(ghz(5))
-        # 40 KB: roughly two 5-qubit snapshots (16 KB each).
-        dev_on.sim_cache = SimulationCache(prefix_bytes=40 * 1024)
-        for gate in ("cz", "xy", "cphase"):
-            circuit_on = _native(dev_on, ghz(5), gate=gate)
-            circuit_off = _native(dev_off, ghz(5), gate=gate)
+        # One entry: every distinct circuit evicts the previous one.
+        dev_on.sim_cache = SimulationCache(max_distributions=1)
+        gates = ("cz", "xy", "cphase")
+        circuits_on = [_native(dev_on, ghz(5), gate=g) for g in gates]
+        circuits_off = [_native(dev_off, ghz(5), gate=g) for g in gates]
+        for circuit_on, circuit_off in zip(circuits_on, circuits_off):
+            # Fill the memo within the epoch so the run below finds its
+            # own entry evicted and recomputes it.
+            for other in circuits_on:
+                dev_on.noisy_distribution(other)
             assert dev_on.run(circuit_on, 800, seed=5) == reference_run(
                 dev_off, circuit_off, 800, 5
             )
-        assert dev_on.sim_cache.prefix.bytes <= 40 * 1024
+        assert dev_on.sim_cache.dist_evictions >= 2
+        assert len(dev_on.sim_cache._distributions) <= 1
 
 
 class TestReferenceOracle:
@@ -158,19 +156,16 @@ class TestDriftInvalidation:
         device.noisy_distribution(circuit)
         stats = device.sim_cache.stats()
         assert stats["dist_entries"] == 1
-        assert stats["prefix_entries"] > 0
         device.advance_time(3600e6)
         stats = device.sim_cache.stats()
         assert stats["dist_entries"] == 0
-        assert stats["prefix_entries"] == 0
-        assert stats["prefix_bytes"] == 0
         assert stats["sim_epoch"] == device.drift_epoch
 
     def test_no_stale_distribution_after_mid_batch_drift(self):
-        """Time advanced mid-batch: no cache level serves pre-drift data.
+        """Time advanced between batches: the memo serves no pre-drift
+        data.
 
-        The batch-snapshot path computes all distributions at one epoch;
-        an advance_time between two batches must force the second batch
+        An advance_time between two batches must force the second batch
         to recompute against the new parameters, matching the oracle on
         a twin device that drifted identically.
         """
@@ -184,17 +179,14 @@ class TestDriftInvalidation:
             Job(_native(dev_off, ghz(5)), 500, seed=s, tag="probe")
             for s in (1, 2, 3)
         ]
-        first_on = backend_on.submit_batch(jobs_on, parallel=True)
-        first_off = reference_batch(dev_off, jobs_off)
+        first_on = backend_on.submit_batch(jobs_on)
+        first_off = _reference_jobs(dev_off, jobs_off)
         assert [r.counts for r in first_on] == first_off
-        # Identical probes in one snapshot batch: the batched engine
-        # dedups them in-batch (simulated once, fanned out).
-        assert dev_on.sim_cache.stats()["batch_dedup_hits"] >= 2
 
         dev_on.advance_time(12 * 3600e6)
         dev_off.advance_time(12 * 3600e6)
-        second_on = backend_on.submit_batch(jobs_on, parallel=True)
-        second_off = reference_batch(dev_off, jobs_off)
+        second_on = backend_on.submit_batch(jobs_on)
+        second_off = _reference_jobs(dev_off, jobs_off)
         # Stale service would reproduce the *pre-drift* counts; instead
         # the product path and the oracle agree on the *post-drift*
         # physics.
@@ -203,81 +195,19 @@ class TestDriftInvalidation:
             r.counts for r in first_on
         ]
 
-    def test_no_stale_prefix_snapshot_after_drift(self):
-        """A prefix snapshot never survives into the next epoch."""
-        device = small_test_device(5, seed=9)
-        circuit = _native(device, ghz(5))
-        device.noisy_distribution(circuit)
-        stores_before = device.sim_cache.prefix.stores
-        assert stores_before > 0
-        device.advance_time(3600e6)
-        # Post-drift lookup cannot hit: the cache is empty, so the
-        # distribution is recomputed from scratch (a prefix miss).
-        misses_before = device.sim_cache.prefix.misses
-        device.noisy_distribution(circuit)
-        assert device.sim_cache.prefix.misses == misses_before + 1
-        assert device.sim_cache.prefix.hits == 0
-
-
-class TestPrefixStateCache:
-    def test_longest_prefix_picks_deepest_key(self):
-        cache = PrefixStateCache(max_bytes=1 << 20)
-        tensors = [np.full((2, 2), i, dtype=complex) for i in range(3)]
-        keys = [bytes([i]) * 4 for i in range(3)]
-        for key, tensor in zip(keys[:2], tensors[:2]):
-            cache.put(key, tensor)
-        depth, tensor = cache.longest_prefix(keys)
-        assert depth == 2
-        assert np.array_equal(tensor, tensors[1])
-        assert cache.hits == 1
-
-    def test_byte_budget_evicts_lru(self):
-        tensor = np.zeros((8, 8), dtype=complex)  # 1 KB each
-        cache = PrefixStateCache(max_bytes=3 * tensor.nbytes)
-        for name in (b"a", b"b", b"c"):
-            cache.put(name, tensor)
-        # Touch "a" so "b" becomes least recently used.
-        assert cache.longest_prefix([b"a"])[0] == 1
-        cache.put(b"d", tensor)
-        assert b"b" not in cache
-        assert b"a" in cache and b"c" in cache and b"d" in cache
-        assert cache.evictions == 1
-        assert cache.bytes == 3 * tensor.nbytes
-
-    def test_oversized_snapshot_not_stored(self):
-        cache = PrefixStateCache(max_bytes=64)
-        cache.put(b"big", np.zeros((8, 8), dtype=complex))
-        assert len(cache) == 0
-        assert cache.bytes == 0
-
-    def test_stored_tensor_is_isolated_copy(self):
-        cache = PrefixStateCache(max_bytes=1 << 20)
-        tensor = np.zeros((2, 2), dtype=complex)
-        cache.put(b"k", tensor)
-        tensor[0, 0] = 99.0
-        _, cached = cache.longest_prefix([b"k"])
-        assert cached[0, 0] == 0.0
-
-
 class TestExecutorStatsPlumbing:
     def test_sim_counters_flow_into_executor_stats(self):
         device = small_test_device(5, seed=9)
-        executor = BatchExecutor(LocalBackend(device), mode="parallel")
+        executor = BatchExecutor(LocalBackend(device))
         circuit = _native(device, ghz(5))
         jobs = [Job(circuit, 200, seed=s, tag="probe") for s in (1, 2, 3)]
         executor.submit_batch(jobs)
         stats = executor.stats
-        assert stats.sim_dist_misses >= 1
-        # Identical probes are deduped in-batch by the batched engine
-        # (the memo serves repeats only across batches now).
-        assert stats.batch_dedup_hits >= 2
-        assert stats.sim_prefix_misses >= 1
-        # The gauge reads post-batch: the end-of-batch clock advance has
-        # already invalidated the snapshots, so residency is back to 0.
-        assert stats.sim_prefix_bytes == 0
+        # Every job starts a new drift epoch, so each one misses.
+        assert stats.sim_dist_misses == 3
         snapshot = stats.snapshot()
         assert snapshot["sim_dist_hits"] == stats.sim_dist_hits
-        assert snapshot["sim_prefix_bytes"] == stats.sim_prefix_bytes
+        assert snapshot["sim_dist_misses"] == stats.sim_dist_misses
         assert "sim cache:" in stats.to_text()
 
 
@@ -291,38 +221,6 @@ class TestDistributionCacheSkipsSimulation:
         # Second call: distribution memo hit, zero operator replays.
         assert device.sim_cache.ops_replayed == replayed_after_first
         assert device.sim_cache.dist_hits == 1
-
-    def test_shared_prefix_replayed_once(self):
-        """Probe variants replay only their divergent suffix.
-
-        The localized-search shape: a candidate differs from the
-        baseline only at one (late) link's sites, so its lowered stream
-        shares the leading fused operators with the baseline's.
-        """
-        device = small_test_device(5, seed=9)
-        compiled = transpile(ghz(5), device)
-        baseline_seq = NativeGateSequence.uniform(compiled.sites, "cz")
-        gates = list(baseline_seq.gates)
-        gates[-1] = "xy"  # diverge at the last site only
-        variant_seq = NativeGateSequence(compiled.sites, tuple(gates))
-        baseline = nativize(
-            compiled.scheduled,
-            baseline_seq.as_site_map(),
-            device.native_gates,
-        )
-        variant = nativize(
-            compiled.scheduled,
-            variant_seq.as_site_map(),
-            device.native_gates,
-        )
-        device.noisy_distribution(baseline)
-        replayed_baseline = device.sim_cache.ops_replayed
-        device.noisy_distribution(variant)
-        replayed_variant = (
-            device.sim_cache.ops_replayed - replayed_baseline
-        )
-        assert device.sim_cache.ops_skipped > 0
-        assert replayed_variant < replayed_baseline
 
     def test_placement_is_part_of_the_key(self):
         """Equal compact circuits on different physical qubits must not
